@@ -1,6 +1,6 @@
 """Grid path planning toolkit.
 
-Classical heap-based planners, a differentiable matrix-form search kernel
+Classical heap-based planners, a differentiable best-first search
 with a learned per-cell selection bias, a self-supervised training loop that
 tunes the bias from the planner's own search effort, and a benchmark harness.
 """

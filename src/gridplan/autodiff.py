@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation on dense float64 numpy arrays.
 
-Exactly the operations the instance encoder and the differentiable search
-kernel need, nothing more. Shapes must match exactly for binary ops; the
-only broadcasting allowed is a genuine scalar (0-d) operand. Backward walks
-an explicit topological order, so graph depth (unrolled searches run to
-thousands of steps) never hits the interpreter recursion limit.
+Exactly the operations the instance encoder, the losses and the
+differentiable search need, nothing more. The search enters the graph
+through one fused op, selection_sum, which turns the tape of a heap search
+into the sum of its one-hot selections. Shapes must match exactly for
+binary ops; the only broadcasting allowed is a genuine scalar (0-d)
+operand. Backward walks an explicit topological order, so graph depth never
+hits the interpreter recursion limit.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -19,12 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptCheckpointError,
-    EmptyMaskError,
-    OddDimensionError,
-    ShapeMismatchError,
-)
+from .errors import CorruptCheckpointError, OddDimensionError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"iatensor v1\n"
 
@@ -419,52 +416,51 @@ def crop2d(a, height: int, width: int) -> Tensor:
     return _record(out_data.copy(), (a,), backward)
 
 
-def masked_softargmax(scores, mask, tau: float, tie_key: np.ndarray | None = None) -> Tensor:
-    """Hard one-hot at the masked minimum of scores, soft gradient behind it.
+def selection_sum(bias, weights, selected, starts, cells, scores, tau: float) -> Tensor:
+    """Weighted sum of a search's hard one-hot selections, soft gradient behind each.
 
-    Forward returns the exact one-hot minimizer of ``scores`` over cells where
-    ``mask`` is 1 (equivalently the argmax of exp(-scores/tau) there). Ties go
-    to the smallest row-major index, or lexicographically through ``tie_key``
-    first when one is given. Backward treats the output as the normalized soft
-    weighting q = exp(-scores/tau) * mask / Z, Z the masked sum, so an
-    upstream gradient g lands on scores as -q * (g - <q, g>) / tau. The
-    centering term makes uniform upstream components vanish and leaves the
-    gradient invariant to constant score shifts. The forward argmax is shift
-    invariant only in exact arithmetic: adding a constant re-rounds every
-    score, so two scores 1 ulp apart can become equal (and the tie order
-    then decides) or two equal ones can come apart. Callers that need the
-    invariance exactly, as diffsearch.search does, normalize the shift
-    before the scores reach this op.
+    Step t of a best-first search selected flat index selected[t] among the
+    cells open at that step, cells[starts[t]:starts[t + 1]], whose scores
+    were scores[starts[t]:starts[t + 1]]: cost + heuristic + bias, so each
+    score moves one for one with its cell's bias. Forward returns
+    sum_t weights[t] * onehot(selected[t]), shaped like bias. Backward treats
+    step t's one-hot as the soft weighting q_t = exp(-s_t / tau) / Z_t over
+    its open cells, so an upstream gradient g lands on the bias as
+    -weights[t] * q_t * (g - <q_t, g>) / tau on those cells only. The
+    centering makes uniform upstream components vanish and leaves the
+    gradient invariant to constant score shifts.
     """
-    scores = as_tensor(scores)
+    bias = as_tensor(bias)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    mask_data = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    if mask_data.shape != scores.shape:
-        raise ShapeMismatchError(f"mask shape {mask_data.shape} != scores shape {scores.shape}")
-    active = mask_data != 0
-    if not active.any():
-        raise EmptyMaskError("mask selects no cells")
-
-    s = scores.data
-    best = s[active].min()
-    cand = active & (s == best)
-    if tie_key is not None and cand.sum() > 1:
-        key_best = tie_key[cand].min()
-        cand = cand & (tie_key == key_best)
-    flat_idx = int(np.flatnonzero(cand.reshape(-1))[0])
-    out_data = np.zeros_like(s)
-    out_data.reshape(-1)[flat_idx] = 1.0
+    weights = np.asarray(weights, dtype=np.float64)
+    selected = np.asarray(selected, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    sizes = np.diff(starts)
+    if not (weights.shape == selected.shape == sizes.shape
+            and cells.shape == scores.shape == (starts[-1],)
+            and starts[0] == 0 and (sizes > 0).all()):
+        raise ShapeMismatchError("selection tape: need one weight and one nonempty open set per step")
+    step = np.repeat(np.arange(sizes.size), sizes)
+    lo = starts[:-1]
+    if not np.logical_or.reduceat(cells == selected[step], lo).all():
+        raise ValueError("selection tape: a selected cell is not open at its step")
+    out_data = np.bincount(selected, weights=weights,
+                           minlength=bias.data.size).reshape(bias.shape)
 
     def backward(g):
-        # shift by the masked minimum so the partition sum stays >= 1
-        expo = np.where(active, (s - best) / tau, np.inf)
-        w = np.exp(-expo)
-        q = w / w.sum()
-        center = (q * g).sum()
-        scores._accumulate(-(q * (g - center)) / tau)
+        # shift by each step's minimum so every partition sum stays >= 1
+        e = np.exp(-(scores - np.minimum.reduceat(scores, lo)[step]) / tau)
+        q = e / np.add.reduceat(e, lo)[step]
+        gq = g.reshape(-1)[cells]
+        centered = gq - np.add.reduceat(q * gq, lo)[step]
+        contrib = -(weights[step] * q * centered) / tau
+        bias._accumulate(np.bincount(cells, weights=contrib,
+                                     minlength=bias.data.size).reshape(bias.shape))
 
-    return _record(out_data, (scores,), backward)
+    return _record(out_data, (bias,), backward)
 
 
 def save_tensors(path, named: dict[str, "Tensor | np.ndarray"]) -> None:

@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .classical import astar, dijkstra, jps, octile_matrix, weighted_bias
-from .diffsearch import DiffSearchConfig, search
+from .diffsearch import search
 from .encoder import load_model, predict_bias
-from .errors import IterationCapError, UnreachableGoalError, ZeroReferenceError
+from .errors import UnreachableGoalError, ZeroReferenceError
 from .grid import PlanInstance, generate_map, sample_instance
 
 MAP_KINDS = ("random-blocks", "maze", "rooms")
@@ -144,14 +144,36 @@ def _classical_record(result) -> RunRecord:
                      path_cells=len(result.path))
 
 
-def make_method(spec: str, bias_offset: float = 0.0,
-                search_config: DiffSearchConfig | None = None) -> Method:
+def bias_source(spec: str):
+    """Parse a selection-bias spec; returns (field, optimal).
+
+    Grammar: zero | wastar:W | model:CKPT | model=CKPT, with W >= 1.
+    field(instance) is the bias for that instance, None for zero bias; a
+    model checkpoint is loaded once, here. optimal tells whether searches
+    under the field return optimal paths.
+    """
+    if spec == "zero":
+        return (lambda inst: None), True
+    if spec.startswith("wastar:"):
+        weight = float(spec.partition(":")[2])
+        if weight < 1.0:
+            raise ValueError(f"wastar weight must be >= 1, got {weight}")
+        return (lambda inst: weighted_bias(octile_matrix(inst.grid.shape, inst.goal),
+                                           weight)), weight == 1.0
+    if spec.startswith(("model:", "model=")):
+        model = load_model(spec[len("model:"):])
+        return (lambda inst: predict_bias(model, inst).data), False
+    raise ValueError(f"unknown bias source {spec!r};"
+                     " expected zero | wastar:W | model:CKPT | model=CKPT")
+
+
+def make_method(spec: str, bias_offset: float = 0.0) -> Method:
     """Build a Method from a spec string.
 
-    Grammar: astar | dijkstra | jps | wastar:W |
-             dastar[:zero | :wastar:W | :model=CKPT]
-    bias_offset adds a constant to the selection bias of dastar variants
-    (selection is invariant to it; exposed for exactly that check).
+    Grammar: astar | dijkstra | jps | wastar:W | dastar[:SOURCE], where
+    SOURCE is a bias_source spec and defaults to zero. bias_offset adds a
+    constant to the selection bias of dastar variants (selection is
+    invariant to it; exposed for exactly that check).
     """
     if spec == "astar":
         return Method("astar", lambda inst: _classical_record(astar(inst)),
@@ -169,29 +191,13 @@ def make_method(spec: str, bias_offset: float = 0.0,
         return Method(spec, lambda inst: _classical_record(astar(inst, weight=weight)),
                       optimal=weight == 1.0)
     if spec == "dastar" or spec.startswith("dastar:"):
-        rest = spec.partition(":")[2]
-        if rest in ("", "zero"):
-            if bias_offset == 0.0:
-                bias_fn = lambda inst: None
-            else:
-                bias_fn = lambda inst: np.full(inst.grid.shape, bias_offset)
-            optimal = True
-        elif rest.startswith("wastar:"):
-            weight = float(rest.partition(":")[2])
-            if weight < 1.0:
-                raise ValueError(f"dastar:wastar weight must be >= 1, got {weight}")
-            bias_fn = lambda inst: weighted_bias(
-                octile_matrix(inst.grid.shape, inst.goal), weight) + bias_offset
-            optimal = weight == 1.0
-        elif rest.startswith("model="):
-            model = load_model(rest.partition("=")[2])
-            bias_fn = lambda inst: predict_bias(model, inst).data + bias_offset
-            optimal = False
-        else:
-            raise ValueError(f"unknown dastar variant {spec!r}")
+        field, optimal = bias_source(spec.partition(":")[2] or "zero")
 
-        def run(inst: PlanInstance, _fn=bias_fn) -> RunRecord:
-            res = search(inst, bias=_fn(inst), config=search_config)
+        def run(inst: PlanInstance) -> RunRecord:
+            bias = field(inst)
+            if bias_offset:
+                bias = (np.zeros(inst.grid.shape) if bias is None else bias) + bias_offset
+            res = search(inst, bias=bias)
             return RunRecord(area=res.expansions, length=res.cost,
                              path_cells=len(res.path))
 
@@ -246,8 +252,8 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
     (one record per instance and method), and table.txt. Per instance, every
     method's Exp and Rt use the same classical A* reference; the method named
     'astar' reuses the reference run outright, so its Exp and Rt are exactly
-    zero. Method failures (unreachable, iteration cap) are recorded and
-    excluded from aggregates.
+    zero. Method failures (unreachable goals) are recorded and excluded
+    from aggregates.
     """
     methods = [make_method(m) if isinstance(m, str) else m for m in methods]
     names = [m.name for m in methods]
@@ -266,7 +272,7 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
                 continue
             try:
                 records[method.name] = method.run(trial.instance)
-            except (UnreachableGoalError, IterationCapError) as exc:
+            except UnreachableGoalError as exc:
                 records[method.name] = f"{type(exc).__name__}: {exc}"
         return reference, records
 

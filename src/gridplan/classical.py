@@ -7,9 +7,11 @@ consistent under this model.
 
 A* keeps its per-node score as (g + h) + bias with h read from a precomputed
 heuristic matrix and bias = (weight - 1) * h, and breaks score ties by
-(score, h, row-major index). The differentiable search kernel reproduces the
-identical arithmetic on whole matrices, which is what makes trace-level
-comparisons between the two exact rather than approximate.
+(score, h, row-major index). The one best-first engine, _biased_search, also
+runs the differentiable search: given a SelectionTape it records, at every
+expansion, the selected cell and the cells open at that step with their
+scores, which is all the selection backward needs. Without a tape that work
+is skipped.
 """
 
 from __future__ import annotations
@@ -119,14 +121,36 @@ def dijkstra(instance: PlanInstance) -> SearchResult:
     return _biased_search(instance, zeros, zeros, t0)
 
 
+class SelectionTape:
+    """The open set at every expansion of one search, as flat lists.
+
+    Step t expanded flat index selected[t]; the cells open just before it,
+    the selected one included, are cells[starts[t]:starts[t + 1]] with their
+    scores (g + h) + bias at the same positions of scores.
+    """
+
+    def __init__(self):
+        self.selected: list[int] = []
+        self.starts: list[int] = [0]
+        self.cells: list[int] = []
+        self.scores: list[float] = []
+
+    def record(self, idx: int, open_scores: dict[int, float]) -> None:
+        self.selected.append(idx)
+        self.cells.extend(open_scores)
+        self.scores.extend(open_scores.values())
+        self.starts.append(len(self.cells))
+
+
 def _biased_search(instance: PlanInstance, h_mat: np.ndarray,
-                   bias: np.ndarray, t0: float) -> SearchResult:
+                   bias: np.ndarray, t0: float,
+                   tape: SelectionTape | None = None) -> SearchResult:
     """Best-first search ordered by (g + h) + bias, ties by (h, index).
 
     Shared engine for dijkstra (h = bias = 0), A* (bias = 0), weighted A*
     (bias = (w-1)h), and arbitrary-bias runs driven by a trained model.
     Closed nodes are never reopened; lazy heap deletion with a stored-g
-    staleness check.
+    staleness check. With a tape, every expansion is recorded on it.
     """
     grid = instance.grid
     height, width = grid.shape
@@ -143,11 +167,16 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray,
     order: list[Coord] = []
     f0 = (0.0 + h_flat[start_idx]) + bias_flat[start_idx]
     heap: list[tuple[float, float, int, float]] = [(f0, float(h_flat[start_idx]), start_idx, 0.0)]
+    # Current score of every open cell, kept only when recording a tape.
+    open_scores = {start_idx: f0} if tape is not None else None
 
     while heap:
         _, _, idx, g_pushed = heapq.heappop(heap)
         if closed_flat[idx] or g_pushed != g[idx]:
             continue
+        if open_scores is not None:
+            tape.record(idx, open_scores)
+            del open_scores[idx]
         closed_flat[idx] = True
         r, c = divmod(idx, width)
         order.append(Coord(r, c))
@@ -168,6 +197,8 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray,
                 parent[nidx] = idx
                 f = (cand + h_flat[nidx]) + bias_flat[nidx]
                 heapq.heappush(heap, (f, float(h_flat[nidx]), nidx, cand))
+                if open_scores is not None:
+                    open_scores[nidx] = f
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .autodiff import CHECKPOINT_MAGIC
-from .bench import MAP_KINDS, TrialPlan, load_plan, run_benchmark
-from .classical import astar, dijkstra, jps, octile_matrix, weighted_bias
+from .bench import MAP_KINDS, TrialPlan, bias_source, load_plan, run_benchmark
+from .classical import astar, dijkstra, jps
 from .diffsearch import search
-from .encoder import Arch, load_model, predict_bias, save_model
+from .encoder import Arch, save_model
 from .errors import DivergenceError, GridplanError
 from .grid import (MAP_FORMAT_VERSION, Coord, PlanInstance, generate_map,
                    load_map, sample_instance, save_map)
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="fmt")
     plan.add_argument("--p-source", default="zero", dest="p_source",
                       help="dastar selection bias: zero | wastar:W |"
-                           " model:CKPT (default zero)")
+                           " model:CKPT | model=CKPT (default zero)")
 
     tr = sub.add_parser("train", parents=[common],
                         help="train the bias encoder on a directory of maps")
@@ -134,21 +134,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_bias(p_source: str, instance: PlanInstance):
-    if p_source == "zero":
-        return None
-    if p_source.startswith("wastar:"):
-        weight = float(p_source.partition(":")[2])
-        if weight < 1.0:
-            raise ValueError(f"p-source weight must be >= 1, got {weight}")
-        return weighted_bias(octile_matrix(instance.grid.shape, instance.goal),
-                             weight)
-    if p_source.startswith("model:"):
-        model = load_model(p_source.partition(":")[2])
-        return predict_bias(model, instance).data
-    raise ValueError(f"unknown p-source {p_source!r}")
-
-
 def _render_closed(instance: PlanInstance, closed, path_cells) -> str:
     """ASCII view: '#' obstacle, '+' expanded, '*' path, S/G endpoints."""
     grid = instance.grid
@@ -177,8 +162,11 @@ def cmd_plan(args) -> int:
     grid = load_map(args.map_path)
     instance = PlanInstance(grid, args.start, args.goal)
     if args.algo == "dastar":
-        bias = _resolve_bias(args.p_source, instance)
-        result = search(instance, bias=bias)
+        try:
+            field, _ = bias_source(args.p_source)
+        except ValueError as exc:
+            raise ValueError(f"p-source: {exc}") from exc
+        result = search(instance, bias=field(instance))
     elif args.algo == "astar":
         result = astar(instance)
     elif args.algo == "wastar":

@@ -1,16 +1,17 @@
-"""Matrix-form best-first search with differentiable node selection.
+"""Best-first search with differentiable node selection.
 
-The search keeps whole-grid state matrices: open and closed indicators,
-accumulated step costs from the start, the octile heuristic, and a per-cell
-selection bias supplied by a caller (zero, a weighted-A* schedule, or a
-trained encoder). Each iteration selects the open cell minimizing
-cost + heuristic + bias through a hard one-hot whose backward pass is the
-soft temperature weighting, so gradients reach the bias while the search
-itself stays discrete: reported paths and costs are exact.
+The search is classical._biased_search, the package's one best-first
+engine, ordered by cost + heuristic + a per-cell selection bias supplied by
+a caller (zero, a weighted-A* schedule, or a trained encoder). Each
+expansion is a hard choice of the open cell with the least score, so
+reported paths and costs are exact. When the bias carries a gradient the
+engine records a tape of the open set at every expansion, and
+autodiff.selection_sum turns it into the sums of the one-hot selections
+whose backward is the soft temperature weighting over each step's open
+cells.
 
-Selection arithmetic mirrors the classical heap planner bit for bit: the
-score is (S + H) + (bias - min bias) computed in float64 with ties broken
-by (score, heuristic, row-major index), and neighbor offers use the shared
+The score is (S + H) + (bias - min bias) in float64 with ties broken by
+(score, heuristic, row-major index), and neighbor offers use the shared
 relaxation order with strict improvement. With zero or any constant bias the
 expansion trace equals classical A*'s exactly; with bias (w-1)H it equals
 weighted A*'s.
@@ -26,61 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .classical import NEIGHBOR_OFFSETS, octile_matrix
-from .errors import IterationCapError, ShapeMismatchError, UnreachableGoalError
+from .classical import SelectionTape, _biased_search, octile_matrix
+from .errors import ShapeMismatchError
 from .grid import Coord, PlanInstance
-
-
-@dataclass
-class DiffSearchConfig:
-    """Knobs for the differentiable search.
-
-    tau scales the softness of the backward weighting; None means
-    sqrt(H*W) of the map, so the logit spread tracks map size. max_iters
-    defaults to H*W, which the closed-set rule can never exceed; the cap
-    stays as a defensive contract. update_improved=False freezes a cell's
-    cost at its first offer instead of taking later strict improvements.
-    """
-
-    tau: float | None = None
-    max_iters: int | None = None
-    update_improved: bool = True
-
-    def resolved_tau(self, shape: tuple[int, int]) -> float:
-        if self.tau is not None:
-            if self.tau <= 0:
-                raise ValueError(f"tau must be positive, got {self.tau}")
-            return self.tau
-        return math.sqrt(shape[0] * shape[1])
-
-    def resolved_max_iters(self, shape: tuple[int, int]) -> int:
-        if self.max_iters is not None:
-            if self.max_iters < 1:
-                raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-            return self.max_iters
-        return shape[0] * shape[1]
-
-
-@dataclass
-class SearchState:
-    """Whole-grid search state; expand() mutates it in place."""
-
-    occupancy: np.ndarray
-    open_mask: np.ndarray    # float64 0/1, the frontier
-    closed_mask: np.ndarray  # float64 0/1, visited cells
-    costs: np.ndarray        # accumulated step cost from start, +inf unseen
-    heuristic: np.ndarray
-    bias: Tensor
-    parents: np.ndarray      # flat backpointer per cell, -1 where unset
-    start_onehot: np.ndarray
-    goal_onehot: np.ndarray
-    start: Coord
-    goal: Coord
-    update_improved: bool = True
-
-    @property
-    def goal_index(self) -> int:
-        return self.goal.row * self.occupancy.shape[1] + self.goal.col
 
 
 @dataclass
@@ -107,15 +56,17 @@ class DiffSearchResult:
         return self.expansions
 
 
-def heuristic_matrix(shape: tuple[int, int], goal: Coord) -> Tensor:
-    """Octile distance to goal as a constant (gradient-free) tensor."""
-    return Tensor(octile_matrix(shape, goal))
+def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
+    """Run the search to the goal and backtrack the path.
 
-
-def initial_state(instance: PlanInstance, bias=None,
-                  config: DiffSearchConfig | None = None) -> SearchState:
-    grid = instance.grid
-    shape = grid.shape
+    When bias is a gradient-carrying tensor, the returned mu and closed
+    tensors are sums of the per-expansion one-hot selections (mu over path
+    cells only), giving the trainer its route into the selection softmax at
+    temperature sqrt(H*W), so the logit spread tracks map size. The
+    backtrace itself is discrete and outside the graph.
+    """
+    t0 = time.perf_counter()
+    shape = instance.grid.shape
     if bias is None:
         bias = Tensor(np.zeros(shape))
     elif not isinstance(bias, Tensor):
@@ -127,145 +78,29 @@ def initial_state(instance: PlanInstance, bias=None,
     # classical A*, instead of re-rounding (S + H) + c so that the h
     # tie-break settles scores that tie only in exact arithmetic. Fields
     # with minimum 0, such as weighted_bias, pass through unchanged.
-    bias = ad.sub(bias, Tensor(bias.data.min()))
-    config = config or DiffSearchConfig()
-    costs = np.full(shape, np.inf)
-    costs[instance.start] = 0.0
-    open_mask = np.zeros(shape)
-    open_mask[instance.start] = 1.0
-    start_onehot = np.zeros(shape)
-    start_onehot[instance.start] = 1.0
-    goal_onehot = np.zeros(shape)
-    goal_onehot[instance.goal] = 1.0
-    return SearchState(
-        occupancy=grid.occupancy,
-        open_mask=open_mask,
-        closed_mask=np.zeros(shape),
-        costs=costs,
-        heuristic=octile_matrix(shape, instance.goal),
-        bias=bias,
-        parents=np.full(shape[0] * shape[1], -1, dtype=np.int64),
-        start_onehot=start_onehot,
-        goal_onehot=goal_onehot,
-        start=instance.start,
-        goal=instance.goal,
-        update_improved=config.update_improved,
-    )
+    shifted = bias.data - bias.data.min()
+    tape = SelectionTape() if ad.grad_enabled() and bias.requires_grad else None
+    found = _biased_search(instance, octile_matrix(shape, instance.goal), shifted, t0, tape)
 
-
-def select_node(state: SearchState, tau: float) -> Tensor:
-    """One-hot over the open cell minimizing costs + heuristic + bias.
-
-    The hard forward choice breaks score ties by (heuristic, row-major
-    index), matching the classical heap planner; the backward pass is the
-    soft masked weighting exp(-scores/tau), so the bias receives gradient
-    from every open cell, not just the winner.
-    """
-    scores = ad.add(Tensor(state.costs + state.heuristic), state.bias)
-    return ad.masked_softargmax(scores, state.open_mask, tau,
-                                tie_key=state.heuristic)
-
-
-def expand(state: SearchState, selection: Tensor) -> SearchState:
-    """Close the selected cell and offer costs to its free neighbors.
-
-    Neighbors are relaxed in the shared canonical order with strict
-    improvement, so the first equal-cost parent wins, exactly as in the
-    heap planners. Selecting the goal closes it without relaxation.
-    """
-    height, width = state.occupancy.shape
-    idx = int(np.argmax(selection.data))
-    r, c = divmod(idx, width)
-    if state.open_mask[r, c] == 0:
-        raise ValueError(f"selected cell ({r},{c}) is not open")
-    state.open_mask[r, c] = 0.0
-    state.closed_mask[r, c] = 1.0
-    if idx == state.goal_index:
-        return state
-    here = state.costs[r, c]
-    occ = state.occupancy
-    for dr, dc, step in NEIGHBOR_OFFSETS:
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < height and 0 <= nc < width) or occ[nr, nc]:
-            continue
-        if state.closed_mask[nr, nc]:
-            continue
-        if not state.update_improved and state.open_mask[nr, nc]:
-            continue
-        cand = here + step
-        if cand < state.costs[nr, nc]:
-            state.costs[nr, nc] = cand
-            state.parents[nr * width + nc] = idx
-            state.open_mask[nr, nc] = 1.0
-    return state
-
-
-def search(instance: PlanInstance, bias=None,
-           config: DiffSearchConfig | None = None) -> DiffSearchResult:
-    """Run the differentiable search to the goal and backtrack the path.
-
-    When bias is a gradient-carrying tensor, the returned mu and closed
-    tensors are sums of the per-iteration one-hot selections (mu over path
-    cells only), giving the trainer its route into the selection softmax.
-    The backtrace itself is discrete and outside the graph.
-    """
-    t0 = time.perf_counter()
-    config = config or DiffSearchConfig()
-    state = initial_state(instance, bias, config)
-    shape = state.occupancy.shape
-    width = shape[1]
-    tau = config.resolved_tau(shape)
-    max_iters = config.resolved_max_iters(shape)
-    track = ad.grad_enabled() and state.bias.requires_grad
-
-    selections: list[Tensor] = []
-    order: list[int] = []
-    for _ in range(max_iters):
-        if not state.open_mask.any():
-            raise UnreachableGoalError(
-                f"goal {tuple(state.goal)} unreachable from start {tuple(state.start)}"
-            )
-        sel = select_node(state, tau)
-        idx = int(np.argmax(sel.data))
-        order.append(idx)
-        if track:
-            selections.append(sel)
-        expand(state, sel)
-        if idx == state.goal_index:
-            break
+    if tape is not None:
+        selected = np.array(tape.selected)
+        steps = (selected, np.array(tape.starts), np.array(tape.cells),
+                 np.array(tape.scores), math.sqrt(shape[0] * shape[1]))
+        closed = ad.selection_sum(bias, np.ones(selected.size), *steps)
+        on_path = found.path_matrix.reshape(-1)[selected].astype(np.float64)
+        mu = ad.selection_sum(bias, on_path, *steps)
     else:
-        raise IterationCapError(f"no goal after {max_iters} iterations")
-
-    chain = [state.goal_index]
-    start_idx = state.start.row * width + state.start.col
-    while chain[-1] != start_idx:
-        chain.append(int(state.parents[chain[-1]]))
-    chain.reverse()
-    path = tuple(Coord(*divmod(i, width)) for i in chain)
-    path_matrix = np.zeros(shape, dtype=np.uint8)
-    for cell in path:
-        path_matrix[cell] = 1
-
-    if track:
-        path_set = set(chain)
-        mu = None
-        closed = None
-        for t, sel in enumerate(selections):
-            closed = sel if closed is None else ad.add(closed, sel)
-            if order[t] in path_set:
-                mu = sel if mu is None else ad.add(mu, sel)
-    else:
-        mu = Tensor(path_matrix.astype(np.float64))
-        closed = Tensor(state.closed_mask.copy())
+        mu = Tensor(found.path_matrix.astype(np.float64))
+        closed = Tensor(found.closed_matrix.astype(np.float64))
 
     return DiffSearchResult(
-        path=path,
-        path_matrix=path_matrix,
-        closed_matrix=state.closed_mask.astype(np.uint8),
-        expansions=int(state.closed_mask.sum()),
+        path=found.path,
+        path_matrix=found.path_matrix,
+        closed_matrix=found.closed_matrix,
+        expansions=found.expansions,
         elapsed=time.perf_counter() - t0,
-        cost=float(state.costs[state.goal]),
+        cost=found.cost,
         mu=mu,
         closed=closed,
-        expansion_order=tuple(Coord(*divmod(i, width)) for i in order),
+        expansion_order=found.expansion_order,
     )

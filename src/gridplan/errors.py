@@ -41,10 +41,6 @@ class UnreachableGoalError(GridplanError):
     """No path from start to goal under the movement model."""
 
 
-class IterationCapError(GridplanError):
-    """Search exceeded its configured step budget."""
-
-
 # --- tensors / autodiff ---
 
 class ShapeMismatchError(GridplanError, ValueError):
@@ -52,10 +48,6 @@ class ShapeMismatchError(GridplanError, ValueError):
 
 
 class OddDimensionError(GridplanError, ValueError):
-    pass
-
-
-class EmptyMaskError(GridplanError, ValueError):
     pass
 
 

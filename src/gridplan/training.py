@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bench import al_metric, exp_metric
 from .classical import SQRT2, astar, dijkstra
-from .diffsearch import DiffSearchConfig, DiffSearchResult, search
+from .diffsearch import DiffSearchResult, search
 from .encoder import Arch, EncoderModel, init_model, predict_bias
 from .errors import DivergenceError, ShapeMismatchError, UnreachableGoalError
 
@@ -239,7 +239,6 @@ def supervised_loss(result: DiffSearchResult, optimal_path_matrix: np.ndarray) -
 
 
 def validate(instances, model: EncoderModel | None = None,
-             search_config: DiffSearchConfig | None = None,
              reference_areas: list[int] | None = None,
              bias_fn=None) -> ValidationStats:
     """Run the differentiable search per instance; model weights unchanged.
@@ -249,7 +248,6 @@ def validate(instances, model: EncoderModel | None = None,
     length), Exp (percent search-area reduction against classical A*), and PL
     (path length). Unreachable instances are excluded and counted in failures.
     """
-    sc = search_config or DiffSearchConfig()
     als, exps, pls = [], [], []
     failures = 0
     for i, inst in enumerate(instances):
@@ -259,7 +257,7 @@ def validate(instances, model: EncoderModel | None = None,
                 bias = bias_fn(inst)
             else:
                 bias = None if model is None else predict_bias(model, inst)
-            res = search(inst, bias=bias, config=sc)
+            res = search(inst, bias=bias)
         except UnreachableGoalError:
             failures += 1
             continue
@@ -300,7 +298,6 @@ WEIGHT_AVERAGE_DECAY = 0.99
 
 def train(train_instances, val_instances, config: TrainConfig,
           model: EncoderModel | None = None, arch: Arch | None = None,
-          search_config: DiffSearchConfig | None = None,
           progress=None) -> tuple[EncoderModel, list[EpochStats]]:
     """Train the encoder; returns the averaged model and per-epoch statistics.
 
@@ -316,7 +313,6 @@ def train(train_instances, val_instances, config: TrainConfig,
         raise ValueError("empty training set")
     if model is None:
         model = init_model(arch or Arch(), seed=config.seed)
-    sc = search_config or DiffSearchConfig()
     optimizer = make_optimizer(config.optimizer, model.params, config.lr,
                                weight_decay=config.weight_decay)
 
@@ -341,7 +337,7 @@ def train(train_instances, val_instances, config: TrainConfig,
             for i in batch:
                 inst = train_instances[i]
                 bias = predict_bias(model, inst, record_graph=True)
-                result = search(inst, bias=bias, config=sc)
+                result = search(inst, bias=bias)
                 if config.mode == "imperative":
                     loss = imperative_loss(result, config.w_a, config.w_l)
                 else:
@@ -356,6 +352,8 @@ def train(train_instances, val_instances, config: TrainConfig,
                 breakdown = LossBreakdown.from_result(result, config.w_a, config.w_l)
                 areas.append(breakdown.area)
                 lengths.append(breakdown.length)
+                # Free this instance's graph before the next search builds one.
+                del bias, result, loss
             for p in model.params.values():
                 if p.grad is not None:
                     p.grad /= len(batch)
@@ -373,7 +371,7 @@ def train(train_instances, val_instances, config: TrainConfig,
         mean_area = float(np.mean(areas))
         mean_length = float(np.mean(lengths))
         if val_instances:
-            vstats = validate(val_instances, model=averaged_model, search_config=sc,
+            vstats = validate(val_instances, model=averaged_model,
                               reference_areas=val_refs)
             val_al, val_exp = vstats.mean_al, vstats.mean_exp
         else:

@@ -213,29 +213,40 @@ def case_encoder_probe(rng):
     assert err <= 1e-4, f"encoder probe rel err {err:.3e}"
 
 
-def case_masked_softargmax(rng):
-    """Backward matches finite differences of the normalized soft weighting."""
-    h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    s = rng.normal(size=(h, w))
-    mask = (rng.random(size=(h, w)) < 0.6).astype(np.float64)
-    if mask.sum() < 2:
-        mask[0, 0] = 1.0
-        mask[-1, -1] = 1.0
+def case_selection_sum(rng):
+    """Backward matches finite differences of the per-step soft weightings."""
+    h, w = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    steps = int(rng.integers(1, 5))
+    selected, starts, cells, base = [], [0], [], []
+    for _ in range(steps):
+        open_cells = rng.permutation(h * w)[:int(rng.integers(1, h * w + 1))]
+        selected.append(int(rng.choice(open_cells)))
+        cells.extend(open_cells.tolist())
+        base.extend(rng.normal(size=open_cells.size).tolist())
+        starts.append(len(cells))
+    cells, base = np.array(cells), np.array(base)
+    weights = rng.uniform(-1.0, 2.0, size=steps)
     tau = float(rng.uniform(0.5, 3.0))
+    bias = rng.normal(size=(h, w))
     upstream = rng.normal(size=(h, w))
 
-    leaf = ad.Tensor(s, requires_grad=True)
-    out = ad.masked_softargmax(leaf, mask, tau)
+    leaf = ad.Tensor(bias, requires_grad=True)
+    scores = base + bias.reshape(-1)[cells]
+    out = ad.selection_sum(leaf, weights, selected, starts, cells, scores, tau)
     ad.inner(out, ad.Tensor(upstream)).backward()
     analytic = leaf.grad.copy()
 
     def soft():
-        raw = np.exp(-s / tau) * mask
-        return float((raw / raw.sum() * upstream).sum())
+        total = 0.0
+        for t in range(steps):
+            part = slice(starts[t], starts[t + 1])
+            raw = np.exp(-(base[part] + bias.reshape(-1)[cells[part]]) / tau)
+            total += weights[t] * (raw / raw.sum() * upstream.reshape(-1)[cells[part]]).sum()
+        return total
 
-    numeric = finite_difference(soft, [s])[0]
+    numeric = finite_difference(soft, [bias])[0]
     err = relative_error(analytic, numeric)
-    assert err <= 1e-4, f"softargmax backward rel err {err:.3e}"
+    assert err <= 1e-4, f"selection_sum backward rel err {err:.3e}"
 
 
 OP_CASES = {
@@ -256,6 +267,6 @@ OP_CASES = {
     "concat_channels": case_concat,
     "reshape": case_reshape,
     "pad_crop": case_pad_crop,
-    "masked_softargmax": case_masked_softargmax,
+    "selection_sum": case_selection_sum,
     "encoder_probe": case_encoder_probe,
 }

@@ -177,3 +177,73 @@ def make_instances(count: int, size: int = 32, seed: int = 0, kinds=None,
         grid = generate_map(kind, size, size, density=density, seed=seed + i)
         out.append(sample_instance(grid, seed=seed + 1000 + i))
     return out
+
+
+# Row-major scan of the 3x3 neighborhood: the order in which an expansion
+# offers costs. With strict improvement the first equal-cost offer wins, so
+# the trace depends on it.
+ROW_MAJOR_MOVES = [(dr, dc, SQRT2 if dr and dc else 1.0)
+                   for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+
+
+def dense_search(occupancy: np.ndarray, start, goal, bias: np.ndarray) -> dict:
+    """Whole-grid best-first search, the matrix form of the selection rule.
+
+    Every step scores all cells as (cost + octile) + (bias - min bias),
+    picks the open cell with the least (score, octile, row-major index),
+    closes it and relaxes its free neighbors with strict improvement.
+    Returns the expansion order, path, cost, and per step the open mask and
+    score matrix that the selection backward needs.
+    """
+    h, w = occupancy.shape
+    dr = np.abs(np.arange(h, dtype=np.float64) - goal[0])[:, None]
+    dc = np.abs(np.arange(w, dtype=np.float64) - goal[1])[None, :]
+    heur = np.maximum(dr, dc) + (SQRT2 - 1.0) * np.minimum(dr, dc)
+    shifted = bias - bias.min()
+    cost = np.full((h, w), np.inf)
+    cost[tuple(start)] = 0.0
+    open_mask = np.zeros((h, w), dtype=bool)
+    open_mask[tuple(start)] = True
+    closed = np.zeros((h, w), dtype=bool)
+    parent = {}
+    order, steps = [], []
+    while True:
+        assert open_mask.any(), "goal unreachable"
+        score = (cost + heur) + shifted
+        cand = np.flatnonzero(open_mask)
+        pick = cand[np.lexsort((cand, heur.flat[cand], score.flat[cand]))[0]]
+        steps.append((open_mask.copy(), score, pick))
+        r, c = divmod(int(pick), w)
+        order.append((r, c))
+        open_mask[r, c] = False
+        closed[r, c] = True
+        if (r, c) == tuple(goal):
+            break
+        for mr, mc, step in ROW_MAJOR_MOVES:
+            nr, nc = r + mr, c + mc
+            if not (0 <= nr < h and 0 <= nc < w) or occupancy[nr, nc] or closed[nr, nc]:
+                continue
+            if cost[r, c] + step < cost[nr, nc]:
+                cost[nr, nc] = cost[r, c] + step
+                parent[(nr, nc)] = (r, c)
+                open_mask[nr, nc] = True
+    path = [tuple(goal)]
+    while path[-1] != tuple(start):
+        path.append(parent[path[-1]])
+    return {"order": order, "path": path[::-1], "cost": float(cost[tuple(goal)]),
+            "steps": steps}
+
+
+def dense_selection_grad(steps, upstream: np.ndarray, weights, tau: float) -> np.ndarray:
+    """Gradient of sum_t w_t * <sel_t, upstream> with respect to the bias.
+
+    Each one-hot selection sel_t stands for the soft weighting
+    exp(-score / tau) over the cells open at step t, normalized there; a
+    score moves one for one with its cell's bias.
+    """
+    grad = np.zeros_like(upstream, dtype=np.float64)
+    for (open_mask, score, _), weight in zip(steps, weights):
+        raw = np.where(open_mask, np.exp(-(score - score[open_mask].min()) / tau), 0.0)
+        q = raw / raw.sum()
+        grad -= weight * q * (upstream - (q * upstream).sum()) / tau
+    return grad

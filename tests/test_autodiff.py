@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gridplan import autodiff as ad
 from gridplan.errors import (
     CorruptCheckpointError,
-    EmptyMaskError,
     OddDimensionError,
     ShapeMismatchError,
 )
@@ -121,54 +120,41 @@ class TestResample:
         assert np.array_equal(out.data, [[[1, 1, 2, 2], [1, 1, 2, 2]]])
 
 
-class TestMaskedSoftargmax:
-    def test_single_masked_cell_forced(self):
-        scores = ad.Tensor(np.zeros((3, 3)))
-        mask = np.zeros((3, 3))
-        mask[2, 1] = 1
-        out = ad.masked_softargmax(scores, mask, tau=1.0)
-        expect = np.zeros((3, 3))
-        expect[2, 1] = 1
-        assert np.array_equal(out.data, expect)
+class TestSelectionSum:
+    # Two steps on a 2x3 grid: cell 0 alone, then cell 4 out of {1, 3, 4}.
+    TAPE = dict(selected=[0, 4], starts=[0, 1, 4], cells=[0, 1, 3, 4],
+                scores=[0.0, 2.0, 1.5, 1.0])
 
-    def test_minimum_wins(self):
-        scores = ad.Tensor(np.array([[1.0, 9.0], [0.0, 3.0]]))
-        out = ad.masked_softargmax(scores, np.ones((2, 2)), tau=1.0)
-        assert np.array_equal(out.data, [[0.0, 0.0], [1.0, 0.0]])
+    def test_forward_sums_weighted_one_hots(self):
+        out = ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 0.5], tau=1.0, **self.TAPE)
+        assert np.array_equal(out.data, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
 
-    def test_row_major_tie_break(self):
-        scores = ad.Tensor(np.zeros((2, 2)))
-        out = ad.masked_softargmax(scores, np.ones((2, 2)), tau=1.0)
-        assert out.data[0, 0] == 1.0 and out.data.sum() == 1.0
+    def test_single_open_cell_gets_no_gradient(self):
+        leaf = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        out = ad.selection_sum(leaf, [1.0, 0.0], tau=1.0, **self.TAPE)
+        ad.inner(out, ad.Tensor(np.arange(6.0).reshape(2, 3))).backward()
+        assert np.array_equal(leaf.grad, np.zeros((2, 3)))
 
-    def test_tie_key_overrides_row_major(self):
-        scores = ad.Tensor(np.zeros((2, 2)))
-        key = np.array([[3.0, 2.0], [1.0, 4.0]])
-        out = ad.masked_softargmax(scores, np.ones((2, 2)), tau=1.0, tie_key=key)
-        assert out.data[1, 0] == 1.0
+    def test_gradient_stays_on_open_cells(self):
+        leaf = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        out = ad.selection_sum(leaf, [1.0, 1.0], tau=2.0, **self.TAPE)
+        ad.inner(out, ad.Tensor(np.arange(6.0).reshape(2, 3))).backward()
+        assert leaf.grad.reshape(-1)[[0, 2, 5]].tolist() == [0.0, 0.0, 0.0]
+        assert np.all(leaf.grad.reshape(-1)[[1, 3, 4]] != 0.0)
+        assert abs(leaf.grad.sum()) < 1e-15
 
-    def test_empty_mask(self):
-        with pytest.raises(EmptyMaskError):
-            ad.masked_softargmax(ad.Tensor(np.zeros((2, 2))), np.zeros((2, 2)), tau=1.0)
+    @pytest.mark.parametrize("bad", [
+        dict(starts=[0, 1, 1], cells=[0], scores=[0.0]),
+        dict(cells=[0, 1, 3, 4], scores=[0.0, 2.0, 1.5]),
+    ])
+    def test_malformed_tape_rejected(self, bad):
+        with pytest.raises(ShapeMismatchError):
+            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 1.0], tau=1.0,
+                             **{**self.TAPE, **bad})
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            ad.masked_softargmax(ad.Tensor(np.zeros((2, 2))), np.ones((2, 2)), tau=0.0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_one_hot_inside_mask(self, seed):
-        rng = np.random.default_rng(seed)
-        scores = rng.normal(size=(4, 5))
-        mask = (rng.random((4, 5)) < 0.5).astype(float)
-        if not mask.any():
-            mask[rng.integers(4), rng.integers(5)] = 1.0
-        out = ad.masked_softargmax(ad.Tensor(scores), mask, tau=2.0)
-        assert out.data.sum() == 1.0
-        assert set(np.unique(out.data)) <= {0.0, 1.0}
-        assert mask[out.data == 1.0] == 1.0
-        # the winner really is the masked minimum
-        assert scores[out.data == 1.0][0] == scores[mask == 1.0].min()
+            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 1.0], tau=0.0, **self.TAPE)
 
 
 class TestGraphMechanics:

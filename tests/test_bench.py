@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridplan import bench, cli
 from gridplan.bench import (DEFAULT_SIZES, MAP_KINDS, Method, RunRecord,
-                            TrialPlan, al_metric, deterministic_fingerprint,
+                            TrialPlan, al_metric, bias_source,
+                            deterministic_fingerprint,
                             exp_metric, load_plan, make_method, parse_plan,
                             plan_trials, rt_metric, run_benchmark)
-from gridplan.classical import astar
-from gridplan.encoder import Arch, init_model, save_model
+from gridplan.classical import astar, octile_matrix, weighted_bias
+from gridplan.encoder import Arch, init_model, predict_bias, save_model
 from gridplan.errors import UnreachableGoalError, ZeroReferenceError
+from gridplan.grid import PlanInstance, load_map, save_map
 
 from .helpers import make_instances
 
@@ -116,6 +119,55 @@ class TestTrialPlan:
         p = tmp_path / "plan.txt"
         p.write_text("sizes = 16\ntrials = 1\n")
         assert load_plan(p).sizes == (16,)
+
+
+class TestBiasSource:
+    @pytest.mark.parametrize("spec", ["wastar:0.9", "psychic", "model", "wastar"])
+    def test_bad_specs_rejected(self, spec):
+        with pytest.raises(ValueError):
+            bias_source(spec)
+
+    def test_each_spelling_gives_one_field_through_plan_and_bench(
+            self, tmp_path, monkeypatch, capsys):
+        model = init_model(Arch(depth=2, base=4), seed=8)
+        head = model.params["head.w"].data
+        head[:] = np.random.default_rng(8).normal(0.0, 0.5, size=head.shape)
+        ckpt = tmp_path / "m.ckpt"
+        save_model(model, ckpt)
+        inst = make_instances(1, size=16, seed=44)[0]
+        map_path = tmp_path / "one.map"
+        save_map(inst.grid, map_path)
+        inst = PlanInstance(load_map(map_path), inst.start, inst.goal)
+        fields = []
+        real_search = bench.search
+
+        def capture(instance, bias=None):
+            fields.append(bias)
+            return real_search(instance, bias=bias)
+
+        monkeypatch.setattr(cli, "search", capture)
+        monkeypatch.setattr(bench, "search", capture)
+        want = {
+            "zero": None,
+            "wastar:2": weighted_bias(octile_matrix((16, 16), inst.goal), 2.0),
+            f"model:{ckpt}": predict_bias(model, inst).data,
+            f"model={ckpt}": predict_bias(model, inst).data,
+        }
+        for spec, field in want.items():
+            fields.clear()
+            assert cli.main(["plan", "--algo", "dastar", "--p-source", spec,
+                             "--map", str(map_path), "--format", "json",
+                             "--start", f"{inst.start.row},{inst.start.col}",
+                             "--goal", f"{inst.goal.row},{inst.goal.col}"]) == 0
+            plan_cost = json.loads(capsys.readouterr().out)["cost"]
+            assert make_method(f"dastar:{spec}").run(inst).length == plan_cost
+            assert len(fields) == 2
+            for got in fields:
+                if field is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, field)
+        assert np.ptp(want[f"model={ckpt}"]) > 0
 
 
 class TestMakeMethod:

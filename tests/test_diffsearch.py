@@ -1,27 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
-from gridplan.classical import SQRT2, astar, dijkstra, octile_matrix, weighted_bias
-from gridplan.diffsearch import (
-    DiffSearchConfig,
-    expand,
-    heuristic_matrix,
-    initial_state,
-    search,
-    select_node,
-)
-from gridplan.errors import (
-    IterationCapError,
-    ShapeMismatchError,
-    UnreachableGoalError,
-)
+from gridplan.classical import (SQRT2, SelectionTape, _biased_search, astar,
+                                dijkstra, octile_matrix, weighted_bias)
+from gridplan.diffsearch import search
+from gridplan.errors import ShapeMismatchError, UnreachableGoalError
 from gridplan.grid import Coord, GridMap, PlanInstance
+from gridplan.training import imperative_loss, supervised_loss
 
-from .helpers import assert_valid_path, distance_field, make_instances
+from .helpers import (assert_valid_path, dense_search, dense_selection_grad,
+                      distance_field, make_instances, relative_error)
 
 
 def empty_instance(size, start, goal):
@@ -34,32 +27,45 @@ def trace(result):
             result.closed_matrix.tobytes(), result.cost)
 
 
-class TestHeuristicMatrix:
-    def test_values(self):
-        h = heuristic_matrix((8, 8), Coord(4, 4))
-        assert h.data[4, 4] == 0.0
-        assert h.data[1, 4] == 3.0
-        assert h.data[6, 1] == pytest.approx(3 + 2 * (SQRT2 - 1))
-        assert not h.requires_grad
+def record_tape(inst, bias=None):
+    """The engine's tape of one search, as search() records it."""
+    shape = inst.grid.shape
+    tape = SelectionTape()
+    field = np.zeros(shape) if bias is None else bias - bias.min()
+    _biased_search(inst, octile_matrix(shape, inst.goal), field, 0.0, tape)
+    return tape
 
-    def test_matches_classical(self):
-        assert np.array_equal(
-            heuristic_matrix((5, 9), Coord(2, 7)).data,
-            octile_matrix((5, 9), Coord(2, 7)),
-        )
+
+def open_at(tape, t):
+    """Open cells at step t mapped to their scores."""
+    lo, hi = tape.starts[t], tape.starts[t + 1]
+    return dict(zip(tape.cells[lo:hi], tape.scores[lo:hi]))
+
+
+def oracle_grad(inst, bias, upstream, on_path_only=False):
+    """Dense-oracle gradient of sum_t w_t <sel_t, upstream> and its trace."""
+    ref = dense_search(inst.grid.occupancy, inst.start, inst.goal, bias)
+    path = set(ref["path"])
+    width = inst.grid.shape[1]
+    weights = [float(divmod(int(i), width) in path) if on_path_only else 1.0
+               for _, _, i in ref["steps"]]
+    tau = math.sqrt(bias.size)
+    return ref, dense_selection_grad(ref["steps"], upstream, weights, tau)
 
 
 class TestConfig:
     def test_default_tau_scales_with_map(self):
-        cfg = DiffSearchConfig()
-        assert cfg.resolved_tau((32, 32)) == pytest.approx(32.0)
-        assert cfg.resolved_tau((16, 64)) == pytest.approx(math.sqrt(1024))
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            DiffSearchConfig(tau=0.0).resolved_tau((8, 8))
-        with pytest.raises(ValueError):
-            DiffSearchConfig(max_iters=0).resolved_max_iters((8, 8))
+        # tau = sqrt(H * W): 32 on a 16x64 map, as on a 32x32 one
+        occ = np.zeros((16, 64), dtype=np.uint8)
+        occ[2:14, 30] = 1
+        inst = PlanInstance(GridMap.from_occupancy(occ), Coord(8, 2), Coord(8, 60))
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0.0, 3.0, size=occ.shape)
+        probe = rng.normal(size=occ.shape)
+        leaf = Tensor(values.copy(), requires_grad=True)
+        ad.inner(search(inst, bias=leaf).closed, Tensor(probe)).backward()
+        _, want = oracle_grad(inst, values, probe)
+        assert relative_error(leaf.grad, want) < 1e-12
 
     def test_bias_shape_checked(self):
         inst = empty_instance(8, (0, 0), (7, 7))
@@ -68,53 +74,58 @@ class TestConfig:
 
 
 class TestStateMechanics:
+    """The engine's open set, step by step, as its tape records it."""
+
     def test_expand_start_on_empty_map(self):
         inst = empty_instance(8, (3, 3), (7, 7))
-        state = initial_state(inst)
-        sel = select_node(state, tau=8.0)
-        assert sel.data[3, 3] == 1.0
-        expand(state, sel)
-        assert state.closed_mask[3, 3] == 1.0
-        assert state.open_mask[3, 3] == 0.0
-        assert state.open_mask.sum() == 8
+        tape = record_tape(inst)
+        assert tape.selected[0] == 3 * 8 + 3
+        h = octile_matrix((8, 8), Coord(7, 7))
+        want = {}
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 if dr == dc == 0:
                     continue
-                want = SQRT2 if dr and dc else 1.0
-                assert state.costs[3 + dr, 3 + dc] == want
+                step = SQRT2 if dr and dc else 1.0
+                want[(3 + dr) * 8 + 3 + dc] = step + h[3 + dr, 3 + dc]
+        assert open_at(tape, 1) == want
 
     def test_closed_neighbor_untouched(self):
-        inst = empty_instance(8, (3, 3), (7, 7))
-        state = initial_state(inst)
-        state.closed_mask[3, 4] = 1.0
-        expand(state, select_node(state, tau=8.0))
-        assert state.costs[3, 4] == np.inf
-        assert state.open_mask[3, 4] == 0.0
+        # Between two steps the open set changes only by the selected cell
+        # leaving and its not-yet-closed neighbors entering or improving.
+        inst = make_instances(1, size=16, seed=5)[0]
+        bias = np.random.default_rng(6).uniform(0.0, 8.0, size=(16, 16))
+        tape = record_tape(inst, bias)
+        closed = set()
+        for t in range(len(tape.selected) - 1):
+            sel = tape.selected[t]
+            closed.add(sel)
+            before, after = open_at(tape, t), open_at(tape, t + 1)
+            changed = {i for i in after if before.get(i) != after[i]}
+            r, c = divmod(sel, 16)
+            assert all(max(abs(i // 16 - r), abs(i % 16 - c)) == 1 for i in changed)
+            assert not changed & closed
+            assert set(before) - set(after) == {sel}
 
     def test_single_open_cell_forced(self):
         inst = empty_instance(8, (2, 5), (6, 6))
-        state = initial_state(inst)
-        sel = select_node(state, tau=1.0)
-        assert sel.data[2, 5] == 1.0 and sel.data.sum() == 1.0
+        tape = record_tape(inst)
+        assert open_at(tape, 0) == {2 * 8 + 5: octile_matrix((8, 8), Coord(6, 6))[2, 5]}
+        assert tape.selected[0] == 2 * 8 + 5
 
     def test_expand_rejects_unopened_cell(self):
-        inst = empty_instance(8, (2, 5), (6, 6))
-        state = initial_state(inst)
-        fake = Tensor(np.zeros((8, 8)))
-        fake.data[0, 0] = 1.0
+        leaf = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            expand(state, fake)
+            ad.selection_sum(leaf, [1.0], [3], [0, 2], [0, 1], [0.0, 1.0], tau=1.0)
 
     def test_open_closed_disjoint_throughout(self):
         inst = make_instances(1, size=16, seed=5)[0]
-        state = initial_state(inst)
-        for _ in range(16 * 16):
-            sel = select_node(state, tau=16.0)
-            expand(state, sel)
-            assert (state.open_mask * state.closed_mask).sum() == 0.0
-            if int(np.argmax(sel.data)) == state.goal_index:
-                break
+        tape = record_tape(inst)
+        for t, sel in enumerate(tape.selected):
+            here = open_at(tape, t)
+            assert sel in here
+            assert not set(here) & set(tape.selected[:t])
+        assert len(set(tape.selected)) == len(tape.selected)
 
 
 class TestDegeneracyToClassical:
@@ -136,17 +147,15 @@ class TestDegeneracyToClassical:
                 )
 
     def test_costs_match_dijkstra_field(self):
-        # With zero bias every closed cell carries its optimal distance.
+        # With zero bias every closed cell carries its optimal distance: its
+        # score when selected is that distance plus the heuristic.
         for inst in make_instances(6, size=24, seed=61):
             field = distance_field(inst.grid.occupancy, inst.start)
-            state = initial_state(inst)
-            while True:
-                sel = select_node(state, tau=24.0)
-                expand(state, sel)
-                if int(np.argmax(sel.data)) == state.goal_index:
-                    break
-            closed = state.closed_mask.astype(bool)
-            assert np.all(np.abs(state.costs[closed] - field[closed]) < 1e-9)
+            h = octile_matrix(inst.grid.shape, inst.goal)
+            tape = record_tape(inst)
+            for t, sel in enumerate(tape.selected):
+                cell = divmod(sel, 24)
+                assert abs(open_at(tape, t)[sel] - (field[cell] + h[cell])) < 1e-9
 
     def test_empty_corner_to_corner(self):
         res = search(empty_instance(8, (0, 0), (7, 7)))
@@ -182,16 +191,6 @@ class TestSoundnessUnderBias:
         inst = PlanInstance(GridMap.from_occupancy(occ), Coord(0, 0), Coord(0, 7))
         with pytest.raises(UnreachableGoalError):
             search(inst)
-
-    def test_iteration_cap(self):
-        inst = empty_instance(8, (0, 0), (7, 7))
-        with pytest.raises(IterationCapError):
-            search(inst, config=DiffSearchConfig(max_iters=3))
-
-    def test_first_offer_mode_still_reaches_goal(self):
-        inst = make_instances(1, size=16, seed=91)[0]
-        res = search(inst, config=DiffSearchConfig(update_improved=False))
-        assert_valid_path(inst.grid.occupancy, res.path, inst.start, inst.goal)
 
 
 class TestGradients:
@@ -234,8 +233,6 @@ class TestGradients:
         assert np.any(leaf.grad != 0.0)
 
     def test_combined_loss_carries_gradient_to_bias(self):
-        from gridplan.training import imperative_loss
-
         inst = make_instances(1, size=16, seed=111)[0]
         rng = np.random.default_rng(4)
         leaf = Tensor(rng.uniform(0.0, 4.0, size=inst.grid.shape),
@@ -246,8 +243,6 @@ class TestGradients:
         assert np.any(leaf.grad != 0.0)
 
     def test_gradient_invariant_to_constant_bias_shift(self):
-        from gridplan.training import imperative_loss
-
         inst = make_instances(1, size=16, seed=131)[0]
         rng = np.random.default_rng(5)
         values = rng.uniform(0.0, 4.0, size=inst.grid.shape)
@@ -265,3 +260,62 @@ class TestGradients:
             res = search(inst, bias=leaf)
         assert not res.closed.requires_grad
         assert res.mu._parents == ()
+
+
+def oracle_cases():
+    """Random fields on 32x32 maps of every kind and on 64x64 mazes and rooms."""
+    rng = np.random.default_rng(17)
+    cases = [(inst, rng.uniform(0.0, 5.0, size=inst.grid.shape))
+             for inst in make_instances(3, size=32, seed=141)]
+    cases += [(inst, rng.uniform(0.0, 5.0, size=inst.grid.shape))
+              for inst in make_instances(2, size=64, seed=151, kinds=("maze", "rooms"))]
+    return cases
+
+
+class TestDenseOracle:
+    """Gradients of the fused selection op against the dense matrix form."""
+
+    @pytest.mark.parametrize("mode", ["imperative", "supervised"])
+    def test_loss_gradients_match(self, mode):
+        for inst, values in oracle_cases():
+            leaf = Tensor(values.copy(), requires_grad=True)
+            res = search(inst, bias=leaf)
+            if mode == "imperative":
+                imperative_loss(res, 1.0, 1.0).backward()
+                upstream = 1.0 - res.path_matrix
+            else:
+                label = dijkstra(inst).path_matrix
+                supervised_loss(res, label).backward()
+                upstream = np.sign(res.closed_matrix - label.astype(float)) / label.size
+            ref, want = oracle_grad(inst, values, upstream)
+            assert list(res.expansion_order) == ref["order"]
+            assert [tuple(c) for c in res.path] == ref["path"]
+            assert res.cost == ref["cost"]
+            assert relative_error(leaf.grad, want) < 1e-12
+
+    def test_path_weighted_selections_match(self):
+        # mu weights each step by whether its cell is on the path.
+        rng = np.random.default_rng(23)
+        for inst, values in oracle_cases()[::2]:
+            probe = rng.normal(size=inst.grid.shape)
+            leaf = Tensor(values.copy(), requires_grad=True)
+            ad.inner(search(inst, bias=leaf).mu, Tensor(probe)).backward()
+            _, want = oracle_grad(inst, values, probe, on_path_only=True)
+            assert relative_error(leaf.grad, want) < 1e-12
+
+
+def test_gradient_search_memory_stays_far_below_a_grid_per_expansion():
+    inst = next(i for i in make_instances(12, size=64, seed=161, kinds=("maze",))
+                if astar(i).expansions > 400)
+    leaf = Tensor(np.random.default_rng(2).uniform(0.0, 5.0, size=(64, 64)),
+                  requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = search(inst, bias=leaf)
+        imperative_loss(res, 1.0, 1.0).backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_expansion_grids = res.expansions * 64 * 64 * 8
+    assert peak < per_expansion_grids / 10, (peak, res.expansions)

@@ -1,6 +1,7 @@
 """Tests for the loss functions, optimizers, and the training loop."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
 from gridplan.classical import astar, dijkstra, octile_matrix, weighted_bias
-from gridplan.diffsearch import DiffSearchConfig, search
+from gridplan import training
+from gridplan.diffsearch import search
 from gridplan.encoder import Arch, init_model, predict_bias
 from gridplan.errors import DivergenceError, ShapeMismatchError
 from gridplan.training import (AdamOptimizer, LossBreakdown, SgdMomentumOptimizer,
@@ -286,6 +288,24 @@ class TestTrain:
         for s in stats:
             assert s.mean_area >= 0
             assert s.mean_total == cfg.w_a * s.mean_area + cfg.w_l * s.mean_length
+
+    def test_previous_instance_graph_freed_before_next_search(self, monkeypatch):
+        # Each instance's search result, and the graph behind it, must be
+        # gone before the next instance's search builds its own.
+        results = []
+
+        def watched(inst, bias=None, **kwargs):
+            if results:
+                assert results[-1]() is None, "previous search result still alive"
+            res = search(inst, bias=bias, **kwargs)
+            results.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(training, "search", watched)
+        tr, _ = tiny_split()
+        train(tr, [], TrainConfig(epochs=2, batch_size=2, seed=3),
+              arch=Arch(depth=2, base=4))
+        assert len(results) == 2 * len(tr)
 
     def test_empty_training_set_rejected(self):
         cfg = TrainConfig(epochs=1)
