@@ -15,6 +15,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -99,19 +100,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; the module-level functions are the real interface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -202,16 +190,6 @@ def scale(a, s: float) -> Tensor:
     return _record(a.data * s, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return _record(out_data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
@@ -259,12 +237,12 @@ def inner(a, b) -> Tensor:
     return _record(out_data, (a, b), backward)
 
 
-def conv2d(x, kernel, bias=None, padding: str = "same") -> Tensor:
+def conv2d(x, kernel, bias=None) -> Tensor:
     """Channelwise cross-correlation: x (Cin,H,W) with kernel (Cout,Cin,kh,kw).
 
-    Odd kernel sides only. ``same`` zero-pads to preserve H and W; ``valid``
-    shrinks. Gradients reach x, kernel, and bias; the backward scatters per
-    kernel tap, so its cost is kh*kw sliced additions.
+    Odd kernel sides only, zero-padded so the output keeps H and W.
+    Gradients reach x, kernel, and bias; the backward scatters per kernel
+    tap, so its cost is kh*kw sliced additions.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -276,18 +254,14 @@ def conv2d(x, kernel, bias=None, padding: str = "same") -> Tensor:
         raise ShapeMismatchError(f"x has {x.shape[0]} channels, kernel expects {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError(f"kernel sides must be odd, got {kh}x{kw}")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+    ph, pw = kh // 2, kw // 2
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeMismatchError(f"bias shape {bias.shape} != ({cout},)")
 
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    oh, ow = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
-    if oh < 1 or ow < 1:
-        raise ShapeMismatchError(f"kernel {kh}x{kw} larger than padded input {xp.shape[1:]}")
+    oh, ow = x.shape[1], x.shape[2]
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     out_data = np.tensordot(kernel.data, windows, axes=([1, 2, 3], [0, 3, 4]))
     if bias is not None:
@@ -500,10 +474,14 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
     while pos < total:
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"{path}: tensor name at byte {pos - name_len}"
+                                         " is not UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         payload = take(8 * count)
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out

@@ -1,12 +1,9 @@
-"""Benchmark harness: randomized trials, planner metrics, comparison tables.
+"""Benchmark harness: method specs, randomized trials, comparison tables.
 
-Metrics per instance, all relative to a classical A* reference run on the
-same instance:
-
-  Exp = 100 * (ref_area - area) / ref_area      search-area reduction
-  Rt  = 100 * (ref_time - time) / ref_time      runtime reduction
-  AL  = sqrt(extra visited) + path length       effort/optimality trade-off
-  PL  = path length
+planner() is the one parser of method names, for the CLI's plan command
+and for make_method. Per instance and method the harness reports Exp, Rt
+and AL (gridplan.metrics) and the path length PL, all relative to a
+classical A* reference run on the same instance.
 
 Timing is single-instance wall clock: one warm-up call, then the median of
 three serialized repeats around the planning call only. For learned methods
@@ -19,7 +16,6 @@ non-timing content of an output directory for byte-equality checks.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,33 +27,13 @@ import numpy as np
 from .classical import astar, dijkstra, jps, octile_matrix, weighted_bias
 from .diffsearch import search
 from .encoder import load_model, predict_bias
-from .errors import UnreachableGoalError, ZeroReferenceError
+from .errors import UnreachableGoalError
 from .grid import PlanInstance, generate_map, sample_instance
+from .metrics import al_metric, exp_metric, rt_metric
 
 MAP_KINDS = ("random-blocks", "maze", "rooms")
 DEFAULT_SIZES = (64, 128, 256)
 METRIC_NAMES = ("Exp", "Rt", "AL", "PL")
-
-
-def exp_metric(area_ref, area) -> float:
-    """Percent search-area reduction against the reference area."""
-    if area_ref <= 0:
-        raise ZeroReferenceError(f"reference area must be positive, got {area_ref}")
-    return 100.0 * (area_ref - area) / area_ref
-
-
-def rt_metric(t_ref, t) -> float:
-    """Percent runtime reduction against the reference time."""
-    if t_ref <= 0:
-        raise ZeroReferenceError(f"reference time must be positive, got {t_ref}")
-    return 100.0 * (t_ref - t) / t_ref
-
-
-def al_metric(area, length) -> float:
-    """sqrt(extra visited cells) + path length."""
-    if area < 0:
-        raise ValueError(f"area must be nonnegative, got {area}")
-    return math.sqrt(area) + length
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,11 @@ def parse_plan(text: str) -> TrialPlan:
 
 
 def load_plan(path) -> TrialPlan:
-    return parse_plan(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"plan file {path} is not ASCII: byte {exc.start}") from exc
+    return parse_plan(text)
 
 
 @dataclass(frozen=True)
@@ -139,9 +119,16 @@ class Method:
     is_reference: bool = False
 
 
-def _classical_record(result) -> RunRecord:
+def _run_record(result) -> RunRecord:
     return RunRecord(area=result.expansions, length=result.cost,
                      path_cells=len(result.path))
+
+
+def _wastar_weight(spec: str) -> float:
+    weight = float(spec.partition(":")[2])
+    if weight < 1.0:
+        raise ValueError(f"wastar weight must be >= 1, got {weight}")
+    return weight
 
 
 def bias_source(spec: str):
@@ -155,9 +142,7 @@ def bias_source(spec: str):
     if spec == "zero":
         return (lambda inst: None), True
     if spec.startswith("wastar:"):
-        weight = float(spec.partition(":")[2])
-        if weight < 1.0:
-            raise ValueError(f"wastar weight must be >= 1, got {weight}")
+        weight = _wastar_weight(spec)
         return (lambda inst: weighted_bias(octile_matrix(inst.grid.shape, inst.goal),
                                            weight)), weight == 1.0
     if spec.startswith(("model:", "model=")):
@@ -167,42 +152,43 @@ def bias_source(spec: str):
                      " expected zero | wastar:W | model:CKPT | model=CKPT")
 
 
-def make_method(spec: str, bias_offset: float = 0.0) -> Method:
-    """Build a Method from a spec string.
+def planner(spec: str, bias_offset: float = 0.0):
+    """Parse a method spec; returns (run, optimal).
 
     Grammar: astar | dijkstra | jps | wastar:W | dastar[:SOURCE], where
-    SOURCE is a bias_source spec and defaults to zero. bias_offset adds a
-    constant to the selection bias of dastar variants (selection is
-    invariant to it; exposed for exactly that check).
+    SOURCE is a bias_source spec and defaults to zero. run(instance) returns
+    the planner's own result, looking the planner up at call time; optimal
+    tells whether its paths are optimal. bias_offset adds a constant to the
+    selection bias of dastar variants (selection is invariant to it;
+    exposed for exactly that check).
     """
     if spec == "astar":
-        return Method("astar", lambda inst: _classical_record(astar(inst)),
-                      optimal=True, is_reference=True)
+        return (lambda inst: astar(inst)), True
     if spec == "dijkstra":
-        return Method("dijkstra", lambda inst: _classical_record(dijkstra(inst)),
-                      optimal=True)
+        return (lambda inst: dijkstra(inst)), True
     if spec == "jps":
-        return Method("jps", lambda inst: _classical_record(jps(inst)),
-                      optimal=True, report_rt=False)
+        return (lambda inst: jps(inst)), True
     if spec.startswith("wastar:"):
-        weight = float(spec.partition(":")[2])
-        if weight < 1.0:
-            raise ValueError(f"wastar weight must be >= 1, got {weight}")
-        return Method(spec, lambda inst: _classical_record(astar(inst, weight=weight)),
-                      optimal=weight == 1.0)
+        weight = _wastar_weight(spec)
+        return (lambda inst: astar(inst, weight=weight)), weight == 1.0
     if spec == "dastar" or spec.startswith("dastar:"):
         field, optimal = bias_source(spec.partition(":")[2] or "zero")
 
-        def run(inst: PlanInstance) -> RunRecord:
+        def run(inst: PlanInstance):
             bias = field(inst)
             if bias_offset:
                 bias = (np.zeros(inst.grid.shape) if bias is None else bias) + bias_offset
-            res = search(inst, bias=bias)
-            return RunRecord(area=res.expansions, length=res.cost,
-                             path_cells=len(res.path))
+            return search(inst, bias=bias)
 
-        return Method(spec, run, optimal=optimal)
+        return run, optimal
     raise ValueError(f"unknown method {spec!r}")
+
+
+def make_method(spec: str, bias_offset: float = 0.0) -> Method:
+    """Build a Method from a planner spec; see planner for the grammar."""
+    run, optimal = planner(spec, bias_offset)
+    return Method(spec, lambda inst: _run_record(run(inst)), optimal=optimal,
+                  report_rt=spec != "jps", is_reference=spec == "astar")
 
 
 @dataclass(frozen=True)
@@ -264,7 +250,7 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
     trials = plan_trials(plan)
 
     def metric_pass(trial: Trial):
-        reference = _classical_record(astar(trial.instance))
+        reference = _run_record(astar(trial.instance))
         records = {}
         for method in methods:
             if method.is_reference:

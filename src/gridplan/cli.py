@@ -17,9 +17,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import CHECKPOINT_MAGIC
-from .bench import MAP_KINDS, TrialPlan, bias_source, load_plan, run_benchmark
-from .classical import astar, dijkstra, jps
-from .diffsearch import search
+from .bench import MAP_KINDS, TrialPlan, load_plan, planner, run_benchmark
 from .encoder import Arch, save_model
 from .errors import DivergenceError, GridplanError
 from .grid import (MAP_FORMAT_VERSION, Coord, PlanInstance, generate_map,
@@ -41,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42,
                         help="seed for every stochastic component (default 42)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap for parallel sections")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output on stderr")
 
@@ -98,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="checkpoint output path")
     tr.add_argument("--log", required=True, help="CSV log output path")
     tr.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    tr.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay,
-                    help="decoupled weight decay strength")
     tr.add_argument("--w-area", type=float, default=1.0)
     tr.add_argument("--w-length", type=float, default=1.0)
     tr.add_argument("--val-frac", type=float, default=0.2,
@@ -118,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="astar,wastar:2,jps,dijkstra,dastar:zero",
                     help="comma-separated method specs")
     be.add_argument("--out", required=True, help="report output directory")
+    be.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker cap for the metric pass")
     return parser
 
 
@@ -161,20 +157,16 @@ def _render_closed(instance: PlanInstance, closed, path_cells) -> str:
 def cmd_plan(args) -> int:
     grid = load_map(args.map_path)
     instance = PlanInstance(grid, args.start, args.goal)
-    if args.algo == "dastar":
-        try:
-            field, _ = bias_source(args.p_source)
-        except ValueError as exc:
-            raise ValueError(f"p-source: {exc}") from exc
-        result = search(instance, bias=field(instance))
-    elif args.algo == "astar":
-        result = astar(instance)
-    elif args.algo == "wastar":
-        result = astar(instance, weight=args.weight)
-    elif args.algo == "jps":
-        result = jps(instance)
-    else:
-        result = dijkstra(instance)
+    # --algo names a method spec; wastar and dastar take their parameter
+    # from the flag named here.
+    spec, flag = {"wastar": (f"wastar:{args.weight!r}", "weight"),
+                  "dastar": (f"dastar:{args.p_source}", "p-source")
+                  }.get(args.algo, (args.algo, "algo"))
+    try:
+        run, _ = planner(spec)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+    result = run(instance)
 
     payload = {
         "cost": result.cost,
@@ -223,7 +215,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(
         w_a=args.w_area, w_l=args.w_length, lr=args.lr,
         optimizer=args.optimizer, epochs=args.epochs, batch_size=args.batch,
-        seed=args.seed, mode=args.mode, weight_decay=args.weight_decay)
+        seed=args.seed, mode=args.mode)
     arch = Arch(depth=args.depth, base=args.base, out_scale=args.out_scale)
 
     def progress(entry):

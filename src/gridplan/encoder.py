@@ -50,8 +50,8 @@ class Arch:
             raise InvalidArchError(f"depth must be >= 1, got {self.depth}")
         if self.base < 4:
             raise InvalidArchError(f"base channels must be >= 4, got {self.base}")
-        if self.out_scale <= 0:
-            raise InvalidArchError(f"out_scale must be positive, got {self.out_scale}")
+        if not 0 < self.out_scale < np.inf:
+            raise InvalidArchError(f"out_scale must be positive and finite, got {self.out_scale}")
 
     def sidecar_line(self) -> str:
         return (f"{ARCH_FORMAT_VERSION}: depth={self.depth} "
@@ -62,8 +62,8 @@ class Arch:
         head, _, rest = line.strip().partition(":")
         if head.strip() != ARCH_FORMAT_VERSION:
             raise CorruptCheckpointError(f"bad arch sidecar header {line!r}")
-        fields = dict(item.split("=", 1) for item in rest.split())
         try:
+            fields = dict(item.split("=", 1) for item in rest.split())
             return cls(depth=int(fields["depth"]), base=int(fields["base"]),
                        out_scale=float(fields["out_scale"]))
         except (KeyError, ValueError) as exc:
@@ -205,10 +205,19 @@ def load_model(path, expect_arch: Arch | None = None) -> EncoderModel:
     sidecar = Path(f"{path}.arch")
     if not sidecar.exists():
         raise CorruptCheckpointError(f"missing arch sidecar {sidecar}")
-    arch = Arch.from_sidecar_line(sidecar.read_text(encoding="ascii"))
+    try:
+        line = sidecar.read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptCheckpointError(f"arch sidecar {sidecar} is not ASCII") from exc
+    arch = Arch.from_sidecar_line(line)
     if expect_arch is not None and arch != expect_arch:
         raise ArchMismatchError(f"checkpoint is {arch}, expected {expect_arch}")
     raw = load_tensors(path)
+    # A .w and a .b per encoder, decoder, bottleneck and head layer; checked
+    # before the layer plan is built, so a corrupt depth cannot blow it up.
+    if len(raw) != 4 * arch.depth + 4:
+        raise ArchMismatchError(
+            f"checkpoint has {len(raw)} tensors {sorted(raw)}, {arch} needs {4 * arch.depth + 4}")
     params: dict[str, Tensor] = {}
     for name, cout, cin, k in _layer_plan(arch):
         for suffix, shape in ((".w", (cout, cin, k, k)), (".b", (cout,))):
@@ -220,7 +229,4 @@ def load_model(path, expect_arch: Arch | None = None) -> EncoderModel:
                     f"tensor {key!r} has shape {raw[key].shape}, {arch} needs {shape}"
                 )
             params[key] = Tensor(raw[key], requires_grad=True)
-    extra = set(raw) - set(params)
-    if extra:
-        raise ArchMismatchError(f"checkpoint has unexpected tensors {sorted(extra)}")
     return EncoderModel(arch=arch, params=params)

@@ -269,7 +269,15 @@ def save_map(grid: GridMap, path) -> None:
 
 
 def load_map(path) -> GridMap:
-    text = Path(path).read_text(encoding="ascii")
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start)
+        col = exc.start - raw.rfind(b"\n", 0, exc.start) - 1
+        raise IllegalCharacterError(
+            f"non-ASCII byte {raw[exc.start]:#04x} at line {line + 1}, column {col + 1}"
+        ) from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAP_FORMAT_VERSION:
         raise MalformedHeaderError(
@@ -284,20 +292,23 @@ def load_map(path) -> GridMap:
         height, width = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise MalformedHeaderError(f"non-integer dimensions in {lines[1]!r}") from exc
+    if height < 2 or width < 2:
+        raise InvalidDimensionsError(f"map must be at least 2x2, got {height}x{width}")
     rows = lines[2:]
     if len(rows) != height:
         raise RowLengthError(f"expected {height} rows, found {len(rows)}")
-    occ = np.zeros((height, width), dtype=np.uint8)
     for r, row in enumerate(rows):
         if len(row) != width:
             raise RowLengthError(
                 f"row {r} has {len(row)} characters, expected {width}"
             )
-        for c, ch in enumerate(row):
-            if ch == "#":
-                occ[r, c] = 1
-            elif ch != ".":
-                raise IllegalCharacterError(
-                    f"illegal character {ch!r} at row {r}, column {c}"
-                )
-    return GridMap(width=width, height=height, occupancy=occ)
+    chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    chars = chars.reshape(height, width)
+    blocked = chars == ord("#")
+    illegal = ~blocked & (chars != ord("."))
+    if illegal.any():
+        r, c = divmod(int(np.argmax(illegal)), width)
+        raise IllegalCharacterError(
+            f"illegal character {rows[r][c]!r} at row {r}, column {c}"
+        )
+    return GridMap(width=width, height=height, occupancy=blocked.astype(np.uint8))

@@ -3,10 +3,13 @@
 The loop is bilevel: the encoder predicts a per-cell selection bias, the
 search runs with that bias, and the loss is computed from the search's own
 results, a weighted sum of the extra-visited-node count and the octile path
-length. No labels are involved; gradients flow through the straight-through
-node selections back into the encoder. A supervised mode is kept for the
-ablation baseline: it matches the visited-cell matrix against the optimal
-path from dijkstra, mirroring label-supervised planners.
+length. No labels are involved. Gradients flow from the extra-visited term
+through the soft selection backward of the search into the encoder; the
+path length enters as a constant. Each step averages the batch's gradients,
+clips them to a global norm of GRAD_CLIP and applies Adam or SGD with
+momentum. A supervised mode is kept for the ablation baseline: it matches
+the visited-cell matrix against the optimal path from dijkstra, mirroring
+label-supervised planners. The metrics come from gridplan.metrics.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bench import al_metric, exp_metric
 from .classical import SQRT2, astar, dijkstra
 from .diffsearch import DiffSearchResult, search
 from .encoder import Arch, EncoderModel, init_model, predict_bias
 from .errors import DivergenceError, ShapeMismatchError, UnreachableGoalError
+from .metrics import al_metric, exp_metric
 
 # Octile step costs to the 8 neighbors; convolving a path matrix with this
 # kernel and taking half the inner product with the path recovers the exact
@@ -33,6 +36,9 @@ OCTILE_KERNEL = np.array(
      [1.0, 0.0, 1.0],
      [SQRT2, 1.0, SQRT2]]
 )
+
+# Global gradient norm that each optimizer step's gradients are clipped to.
+GRAD_CLIP = 10.0
 
 
 def area_loss(closed, mu) -> Tensor:
@@ -60,7 +66,7 @@ def path_length_loss(mu) -> Tensor:
         raise ShapeMismatchError(f"path matrix must be 2-d, got {mu.shape}")
     lifted = ad.reshape(mu, (1,) + tuple(mu.shape))
     kernel = Tensor(OCTILE_KERNEL.reshape(1, 1, 3, 3))
-    neighbor_costs = ad.conv2d(lifted, kernel, padding="same")
+    neighbor_costs = ad.conv2d(lifted, kernel)
     return ad.scale(ad.inner(neighbor_costs, lifted), 0.5)
 
 
@@ -87,18 +93,12 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 42
     mode: str = "imperative"
-    grad_clip: float = 10.0
-    # Off by default: decay strong enough to hold the encoder near its
-    # constant, search-neutral start keeps it there, and nothing is learned.
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.w_a < 0 or self.w_l < 0 or (self.w_a == 0 and self.w_l == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -136,34 +136,23 @@ class ValidationStats:
 
 
 class AdamOptimizer:
-    """Adaptive-moment updates; reads averaged gradients off the tensors.
-
-    weight_decay is decoupled: parameters shrink by lr * weight_decay per
-    step before the moment update, independent of gradient magnitude. With
-    the zero-final-layer init it pulls the model toward the constant
-    prediction, whose searches match plain A*; TrainConfig leaves it off.
-    """
+    """Adaptive-moment updates; reads averaged gradients off the tensors."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
         self.t += 1
-        shrink = 1.0 - self.lr * self.weight_decay
         for key, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data *= shrink
             self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
             self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
             m_hat = self.m[key] / (1 - self.beta1 ** self.t)
@@ -172,31 +161,25 @@ class AdamOptimizer:
 
 
 class SgdMomentumOptimizer:
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9):
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
-        shrink = 1.0 - self.lr * self.weight_decay
         for key, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data *= shrink
             self.v[key] = self.momentum * self.v[key] + g
             p.data -= self.lr * self.v[key]
 
 
-def make_optimizer(name: str, params: dict[str, Tensor], lr: float,
-                   weight_decay: float = 0.0):
+def make_optimizer(name: str, params: dict[str, Tensor], lr: float):
     if name == "adam":
-        return AdamOptimizer(params, lr, weight_decay=weight_decay)
-    return SgdMomentumOptimizer(params, lr, weight_decay=weight_decay)
+        return AdamOptimizer(params, lr)
+    return SgdMomentumOptimizer(params, lr)
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -218,15 +201,14 @@ def imperative_loss(result: DiffSearchResult, w_a: float, w_l: float) -> Tensor:
     """Search-effort objective: w_a * extra visited + w_l * path length.
 
     Both terms hold the backtracked path constant, so the length term adds
-    its exact value but no gradient; only the area term trains. The length
-    of a path is not lowered by dropping one of its cells from a selection,
-    which is what a gradient through mu would claim: along the weighted-A*
-    direction it outweighs the area gradient and points the other way.
+    its exact value, result.cost, but no gradient; only the area term
+    trains. The length of a path is not lowered by dropping one of its cells
+    from a selection, which is what a gradient through mu would claim: along
+    the weighted-A* direction it outweighs the area gradient and points the
+    other way.
     """
-    return ad.add(
-        ad.scale(area_loss(result.closed, result.mu), w_a),
-        ad.scale(path_length_loss(result.mu.detach()), w_l),
-    )
+    return ad.add(ad.scale(area_loss(result.closed, result.mu), w_a),
+                  w_l * result.cost)
 
 
 def supervised_loss(result: DiffSearchResult, optimal_path_matrix: np.ndarray) -> Tensor:
@@ -239,12 +221,10 @@ def supervised_loss(result: DiffSearchResult, optimal_path_matrix: np.ndarray) -
 
 
 def validate(instances, model: EncoderModel | None = None,
-             reference_areas: list[int] | None = None,
-             bias_fn=None) -> ValidationStats:
+             reference_areas: list[int] | None = None) -> ValidationStats:
     """Run the differentiable search per instance; model weights unchanged.
 
-    The selection bias comes from bias_fn(instance) when given, else from the
-    model, else zero. Returns mean/std of AL (sqrt extra visited + path
+    The selection bias comes from the model, or is zero without one. Returns mean/std of AL (sqrt extra visited + path
     length), Exp (percent search-area reduction against classical A*), and PL
     (path length). Unreachable instances are excluded and counted in failures.
     """
@@ -253,10 +233,7 @@ def validate(instances, model: EncoderModel | None = None,
     for i, inst in enumerate(instances):
         ref = reference_areas[i] if reference_areas is not None else astar(inst).expansions
         try:
-            if bias_fn is not None:
-                bias = bias_fn(inst)
-            else:
-                bias = None if model is None else predict_bias(model, inst)
+            bias = None if model is None else predict_bias(model, inst)
             res = search(inst, bias=bias)
         except UnreachableGoalError:
             failures += 1
@@ -313,8 +290,7 @@ def train(train_instances, val_instances, config: TrainConfig,
         raise ValueError("empty training set")
     if model is None:
         model = init_model(arch or Arch(), seed=config.seed)
-    optimizer = make_optimizer(config.optimizer, model.params, config.lr,
-                               weight_decay=config.weight_decay)
+    optimizer = make_optimizer(config.optimizer, model.params, config.lr)
 
     labels = None
     if config.mode == "supervised":
@@ -357,7 +333,7 @@ def train(train_instances, val_instances, config: TrainConfig,
             for p in model.params.values():
                 if p.grad is not None:
                     p.grad /= len(batch)
-            clip_gradients(model.params, config.grad_clip)
+            clip_gradients(model.params, GRAD_CLIP)
             optimizer.step()
             steps += 1
             if steps == 1:

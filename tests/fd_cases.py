@@ -76,12 +76,6 @@ def case_scale(rng):
     check_gradients(lambda x: probe(ad.scale(x, s)), [a])
 
 
-def case_exp(rng):
-    probe = _Probe(rng)
-    a = rng.uniform(-2.0, 2.0, size=_shape(rng))
-    check_gradients(lambda x: probe(ad.exp(x)), [a])
-
-
 def case_sigmoid(rng):
     probe = _Probe(rng)
     a = rng.uniform(-4.0, 4.0, size=_shape(rng))
@@ -114,20 +108,17 @@ def case_conv2d(rng):
     h = int(rng.integers(3, 8))
     w = int(rng.integers(3, 8))
     k = int(rng.choice([1, 3, 5]))
-    padding = str(rng.choice(["same", "valid"]))
-    if padding == "valid" and (h < k or w < k):
-        padding = "same"
     x = rng.normal(size=(cin, h, w))
     kern = rng.normal(size=(cout, cin, k, k))
     if rng.random() < 0.5:
         bias = rng.normal(size=(cout,))
         check_gradients(
-            lambda a, b, c: probe(ad.conv2d(a, b, bias=c, padding=padding)),
+            lambda a, b, c: probe(ad.conv2d(a, b, bias=c)),
             [x, kern, bias],
         )
     else:
         check_gradients(
-            lambda a, b: probe(ad.conv2d(a, b, padding=padding)),
+            lambda a, b: probe(ad.conv2d(a, b)),
             [x, kern],
         )
 
@@ -256,7 +247,6 @@ OP_CASES = {
     "mul": case_mul,
     "neg": case_neg,
     "scale": case_scale,
-    "exp": case_exp,
     "sigmoid": case_sigmoid,
     "relu": case_relu,
     "sum": case_sum,

@@ -145,7 +145,6 @@ class TestBiasSource:
             fields.append(bias)
             return real_search(instance, bias=bias)
 
-        monkeypatch.setattr(cli, "search", capture)
         monkeypatch.setattr(bench, "search", capture)
         want = {
             "zero": None,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridplan import autodiff as ad
+from gridplan import encoder
 from gridplan.encoder import (
     Arch,
     EncoderModel,
@@ -36,6 +37,11 @@ class TestArch:
         with pytest.raises(InvalidArchError):
             Arch(out_scale=0.0)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_sidecar_rejects_non_finite_out_scale(self, scale):
+        with pytest.raises(CorruptCheckpointError):
+            Arch.from_sidecar_line(f"arch v1: depth=2 base=4 out_scale={scale}")
+
     def test_sidecar_round_trip(self):
         for arch in (Arch(), Arch(depth=1, base=8, out_scale=2.5)):
             assert Arch.from_sidecar_line(arch.sidecar_line()) == arch
@@ -45,6 +51,10 @@ class TestArch:
             Arch.from_sidecar_line("arch v2: depth=3 base=16 out_scale=10.0")
         with pytest.raises(CorruptCheckpointError):
             Arch.from_sidecar_line("arch v1: depth=three base=16 out_scale=10.0")
+
+    def test_sidecar_item_without_equals_rejected(self):
+        with pytest.raises(CorruptCheckpointError):
+            Arch.from_sidecar_line("arch v1: depth3 base=16 out_scale=10.0")
 
 
 class TestInit:
@@ -198,6 +208,29 @@ class TestCheckpointing:
         save_model(model, path)
         (tmp_path / "enc.ckpt.arch").unlink()
         with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
+    def test_non_ascii_sidecar(self, tmp_path):
+        model = init_model(small_arch(), seed=13)
+        path = tmp_path / "enc.ckpt"
+        save_model(model, path)
+        (tmp_path / "enc.ckpt.arch").write_bytes(b"arch v1: depth=2 base=4 out_scale=\xe9\n")
+        with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
+    def test_tensor_count_checked_before_layer_plan(self, tmp_path, monkeypatch):
+        # A corrupt depth must not get to build a layer plan of that depth.
+        model = init_model(small_arch(), seed=13)
+        path = tmp_path / "enc.ckpt"
+        save_model(model, path)
+        (tmp_path / "enc.ckpt.arch").write_text(
+            "arch v1: depth=1000000000 base=4 out_scale=10.0\n")
+
+        def no_plan(arch):
+            raise AssertionError(f"layer plan built for {arch}")
+
+        monkeypatch.setattr(encoder, "_layer_plan", no_plan)
+        with pytest.raises(ArchMismatchError):
             load_model(path)
 
     def test_truncated_checkpoint(self, tmp_path):

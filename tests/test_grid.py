@@ -125,6 +125,18 @@ class TestMapIO:
         with pytest.raises(IllegalCharacterError):
             load_map(p)
 
+    def test_non_ascii_byte(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"gridmap v1\n3 4\n....\n.#\xff.\n....\n")
+        with pytest.raises(IllegalCharacterError, match="0xff at line 4, column 3"):
+            load_map(p)
+
+    def test_dimensions_below_two_rejected_before_rows(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("gridmap v1\n0 99999999999999999999\n")
+        with pytest.raises(InvalidDimensionsError):
+            load_map(p)
+
 
 class TestGenerators:
     @pytest.mark.parametrize("kind", ["random-blocks", "maze", "rooms"])

@@ -9,7 +9,7 @@ import pytest
 
 from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
-from gridplan.classical import astar, dijkstra, octile_matrix, weighted_bias
+from gridplan.classical import astar, octile_matrix
 from gridplan import training
 from gridplan.diffsearch import search
 from gridplan.encoder import Arch, init_model, predict_bias
@@ -138,7 +138,7 @@ class TestTrainConfig:
         {"epochs": -1},
         {"optimizer": "newton"},
         {"mode": "reinforcement"},
-        {"weight_decay": -1.0},
+        {"w_l": -1.0},
         {"w_a": 0.0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -169,26 +169,6 @@ class TestOptimizers:
         params = self._params({"w": [1.0], "frozen": [5.0]})
         params["w"].grad = np.array([1.0])
         AdamOptimizer(params, lr=0.1).step()
-        assert params["frozen"].data == 5.0
-
-    def test_adam_weight_decay_is_decoupled(self):
-        # The shrink multiplies the parameter before the moment update, so
-        # the final value is shrunk_data - adam_delta, not a gradient term.
-        plain = self._params({"w": [2.0]})
-        plain["w"].grad = np.array([0.7])
-        AdamOptimizer(plain, lr=0.01).step()
-        delta = 2.0 - float(plain["w"].data[0])
-
-        decayed = self._params({"w": [2.0]})
-        decayed["w"].grad = np.array([0.7])
-        AdamOptimizer(decayed, lr=0.01, weight_decay=10.0).step()
-        want = 2.0 * (1.0 - 0.01 * 10.0) - delta
-        assert float(decayed["w"].data[0]) == pytest.approx(want, abs=1e-12)
-
-    def test_weight_decay_leaves_gradless_params_alone(self):
-        params = self._params({"w": [1.0], "frozen": [5.0]})
-        params["w"].grad = np.array([1.0])
-        AdamOptimizer(params, lr=0.1, weight_decay=50.0).step()
         assert params["frozen"].data == 5.0
 
     def test_sgd_momentum_accumulates(self):
@@ -252,19 +232,6 @@ class TestTrain:
         _, stats = train(insts, [], cfg, model=model, arch=arch)
         totals = [s.mean_total for s in stats]
         assert np.mean(totals[-10:]) <= totals[0] + 1e-9
-
-    def test_config_weight_decay_shrinks_parameter_norm(self):
-        insts = make_instances(1, size=16, seed=61, kinds=("random-blocks",))
-        arch = Arch(depth=2, base=8)
-
-        def norm_after(decay):
-            cfg = TrainConfig(epochs=5, batch_size=1, seed=42,
-                              weight_decay=decay)
-            model, _ = train(insts, [], cfg, arch=arch)
-            return float(np.sqrt(sum(
-                np.sum(p.data ** 2) for p in model.params.values())))
-
-        assert norm_after(200.0) < norm_after(0.0)
 
     def test_seeded_determinism(self):
         tr, va = tiny_split()
@@ -384,19 +351,6 @@ class TestValidate:
             assert res.expansion_order == ref.expansion_order
             assert res.path == ref.path
         assert validate(va, model=model).mean_exp == 0.0
-
-    def test_weighted_bias_fn_matches_classical_weighted(self):
-        _, va = tiny_split()
-
-        def wbias(inst):
-            return weighted_bias(octile_matrix(inst.grid.shape, inst.goal), 2.0)
-
-        stats = validate(va, bias_fn=wbias)
-        als = []
-        for inst in va:
-            res = astar(inst, weight=2.0)
-            als.append(math.sqrt(res.expansions - len(res.path)) + res.cost)
-        assert stats.mean_al == pytest.approx(float(np.mean(als)), abs=1e-12)
 
     def test_al_at_least_pl_at_least_octile(self):
         tr, va = tiny_split()
