@@ -4,9 +4,8 @@ Exactly the operations the instance encoder, the losses and the
 differentiable search need, nothing more. The search enters the graph
 through one fused op, selection_sum, which turns the tape of a heap search
 into the sum of its one-hot selections. Shapes must match exactly for
-binary ops; the only broadcasting allowed is a genuine scalar (0-d)
-operand. Backward walks an explicit topological order, so graph depth never
-hits the interpreter recursion limit.
+binary ops; nothing broadcasts. Backward walks an explicit topological
+order, so graph depth never hits the interpreter recursion limit.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -64,9 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -117,15 +113,8 @@ def _record(data, parents, backward) -> Tensor:
 
 
 def _binary_shapes(a: Tensor, b: Tensor):
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
+    if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} do not match")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Collapse an upstream grad onto a scalar operand's shape."""
-    if g.shape == tuple(shape):
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -135,9 +124,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g, b.shape))
+            b._accumulate(g)
 
     return _record(out_data, (a, b), backward)
 
@@ -149,9 +138,9 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to(-g, b.shape))
+            b._accumulate(-g)
 
     return _record(out_data, (a, b), backward)
 
@@ -163,9 +152,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.shape))
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.shape))
+            b._accumulate(g * a.data)
 
     return _record(out_data, (a, b), backward)
 
@@ -390,39 +379,37 @@ def crop2d(a, height: int, width: int) -> Tensor:
     return _record(out_data.copy(), (a,), backward)
 
 
-def selection_sum(bias, weights, selected, starts, cells, scores, tau: float) -> Tensor:
-    """Weighted sum of a search's hard one-hot selections, soft gradient behind each.
+def selection_sum(bias, selected, starts, cells, scores, tau: float) -> Tensor:
+    """Sum of a search's hard one-hot selections, soft gradient behind each.
 
     Step t of a best-first search selected flat index selected[t] among the
     cells open at that step, cells[starts[t]:starts[t + 1]], whose scores
     were scores[starts[t]:starts[t + 1]]: cost + heuristic + bias, so each
     score moves one for one with its cell's bias. Forward returns
-    sum_t weights[t] * onehot(selected[t]), shaped like bias. Backward treats
-    step t's one-hot as the soft weighting q_t = exp(-s_t / tau) / Z_t over
-    its open cells, so an upstream gradient g lands on the bias as
-    -weights[t] * q_t * (g - <q_t, g>) / tau on those cells only. The
-    centering makes uniform upstream components vanish and leaves the
+    sum_t onehot(selected[t]), shaped like bias: the search's closed set.
+    Backward treats step t's one-hot as the soft weighting
+    q_t = exp(-s_t / tau) / Z_t over its open cells, so an upstream gradient
+    g lands on the bias as -q_t * (g - <q_t, g>) / tau on those cells only.
+    The centering makes uniform upstream components vanish and leaves the
     gradient invariant to constant score shifts.
     """
     bias = as_tensor(bias)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    weights = np.asarray(weights, dtype=np.float64)
     selected = np.asarray(selected, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     sizes = np.diff(starts)
-    if not (weights.shape == selected.shape == sizes.shape
+    if not (selected.shape == sizes.shape
             and cells.shape == scores.shape == (starts[-1],)
             and starts[0] == 0 and (sizes > 0).all()):
-        raise ShapeMismatchError("selection tape: need one weight and one nonempty open set per step")
+        raise ShapeMismatchError("selection tape: need one nonempty open set per step")
     step = np.repeat(np.arange(sizes.size), sizes)
     lo = starts[:-1]
     if not np.logical_or.reduceat(cells == selected[step], lo).all():
         raise ValueError("selection tape: a selected cell is not open at its step")
-    out_data = np.bincount(selected, weights=weights,
-                           minlength=bias.data.size).reshape(bias.shape)
+    out_data = np.bincount(selected, minlength=bias.data.size).reshape(bias.shape)
 
     def backward(g):
         # shift by each step's minimum so every partition sum stays >= 1
@@ -430,7 +417,7 @@ def selection_sum(bias, weights, selected, starts, cells, scores, tau: float) ->
         q = e / np.add.reduceat(e, lo)[step]
         gq = g.reshape(-1)[cells]
         centered = gq - np.add.reduceat(q * gq, lo)[step]
-        contrib = -(weights[step] * q * centered) / tau
+        contrib = -(q * centered) / tau
         bias._accumulate(np.bincount(cells, weights=contrib,
                                      minlength=bias.data.size).reshape(bias.shape))
 
@@ -483,5 +470,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = math.prod(shape)
         payload = take(8 * count)
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            # a zero extent leaves no payload, but numpy still refuses
+            # shapes whose other extents overflow its index type
+            raise CorruptCheckpointError(f"{path}: tensor {name!r} has shape {shape},"
+                                         " too large to index") from exc
     return out

@@ -5,12 +5,14 @@ and for make_method. Per instance and method the harness reports Exp, Rt
 and AL (gridplan.metrics) and the path length PL, all relative to a
 classical A* reference run on the same instance.
 
+Planners do not time themselves; the harness times each call from outside.
 Timing is single-instance wall clock: one warm-up call, then the median of
-three serialized repeats around the planning call only. For learned methods
-the encoder forward pass runs inside the timed call. Absolute Rt values are
-hardware-dependent; tests assert only signs and orderings. Everything except
-timing is deterministic per seed; deterministic_fingerprint() captures the
-non-timing content of an output directory for byte-equality checks.
+TIMING_REPEATS serialized repeats around the planning call only. For
+learned methods the encoder forward pass runs inside the timed call.
+Absolute Rt values are hardware-dependent; tests assert only signs and
+orderings. Everything except timing is deterministic per seed;
+deterministic_fingerprint() captures the non-timing content of an output
+directory for byte-equality checks.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from .classical import astar, dijkstra, jps, octile_matrix, weighted_bias
 from .diffsearch import search
 from .encoder import load_model, predict_bias
 from .errors import UnreachableGoalError
-from .grid import PlanInstance, generate_map, sample_instance
+from .grid import GENERATOR_KINDS, PlanInstance, generate_map, sample_instance
 from .metrics import al_metric, exp_metric, rt_metric
 
-MAP_KINDS = ("random-blocks", "maze", "rooms")
+MAP_KINDS = GENERATOR_KINDS
 DEFAULT_SIZES = (64, 128, 256)
 METRIC_NAMES = ("Exp", "Rt", "AL", "PL")
+TIMING_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,10 @@ def plan_trials(plan: TrialPlan) -> list[Trial]:
     return trials
 
 
-def _time_call(fn, repeats: int) -> float:
+def _time_call(fn) -> float:
     fn()
     samples = []
-    for _ in range(max(1, repeats)):
+    for _ in range(TIMING_REPEATS):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
@@ -231,7 +234,7 @@ class BenchReport:
 
 
 def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
-                  timing_repeats: int = 3, progress=None) -> BenchReport:
+                  progress=None) -> BenchReport:
     """Run every method over the plan's instances and write report files.
 
     Writes results.csv (kind,size,method,metric,mean,std), instances.jsonl
@@ -271,7 +274,7 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
     # Timed calls are serialized to keep wall-clock samples clean.
     instance_rows = []
     for trial, (reference, records) in zip(trials, metric_results):
-        ref_elapsed = _time_call(lambda: astar(trial.instance), timing_repeats)
+        ref_elapsed = _time_call(lambda: astar(trial.instance))
         if progress is not None:
             progress(trial)
         for method in methods:
@@ -292,8 +295,7 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
             if method.is_reference:
                 elapsed = ref_elapsed
             else:
-                elapsed = _time_call(lambda m=method: m.run(trial.instance),
-                                     timing_repeats)
+                elapsed = _time_call(lambda m=method: m.run(trial.instance))
             row["area"] = record.area
             row["length"] = record.length
             row["elapsed_s"] = elapsed

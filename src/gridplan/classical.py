@@ -12,13 +12,16 @@ runs the differentiable search: given a SelectionTape it records, at every
 expansion, the selected cell and the cells open at that step with their
 scores, which is all the selection backward needs. Without a tape that work
 is skipped.
+
+Planners return what they found, not how long it took: a caller that needs
+wall time (cli plan, bench) times the call, so that the clock covers the
+same work, encoder forward included, whatever the method.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +59,6 @@ class SearchResult:
     path_matrix: np.ndarray
     closed_matrix: np.ndarray
     expansions: int
-    elapsed: float
     cost: float
     expansion_order: tuple[Coord, ...] = field(repr=False, default=())
     jump_pops: int | None = None
@@ -87,7 +89,7 @@ def _reconstruct(parent: dict[int, int], start_idx: int, goal_idx: int,
     return [Coord(*divmod(i, width)) for i in reversed(chain)]
 
 
-def _finish(shape, path, closed, order, cost, t0, jump_pops=None) -> SearchResult:
+def _finish(shape, path, closed, order, cost, jump_pops=None) -> SearchResult:
     path_matrix = np.zeros(shape, dtype=np.uint8)
     for cell in path:
         path_matrix[cell] = 1
@@ -96,7 +98,6 @@ def _finish(shape, path, closed, order, cost, t0, jump_pops=None) -> SearchResul
         path_matrix=path_matrix,
         closed_matrix=closed.astype(np.uint8),
         expansions=int(closed.sum()),
-        elapsed=time.perf_counter() - t0,
         cost=cost,
         expansion_order=tuple(order),
         jump_pops=jump_pops,
@@ -107,18 +108,16 @@ def astar(instance: PlanInstance, weight: float = 1.0) -> SearchResult:
     """A* with octile heuristic; weight > 1 gives the greedy weighted variant."""
     if weight < 1.0:
         raise ValueError(f"weight must be >= 1, got {weight}")
-    t0 = time.perf_counter()
     grid = instance.grid
     h_mat = octile_matrix(grid.shape, instance.goal)
     bias = weighted_bias(h_mat, weight)
-    return _biased_search(instance, h_mat, bias, t0)
+    return _biased_search(instance, h_mat, bias)
 
 
 def dijkstra(instance: PlanInstance) -> SearchResult:
     """Uniform-cost search; the package's path-cost oracle."""
-    t0 = time.perf_counter()
     zeros = np.zeros(instance.grid.shape, dtype=np.float64)
-    return _biased_search(instance, zeros, zeros, t0)
+    return _biased_search(instance, zeros, zeros)
 
 
 class SelectionTape:
@@ -142,8 +141,7 @@ class SelectionTape:
         self.starts.append(len(self.cells))
 
 
-def _biased_search(instance: PlanInstance, h_mat: np.ndarray,
-                   bias: np.ndarray, t0: float,
+def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
                    tape: SelectionTape | None = None) -> SearchResult:
     """Best-first search ordered by (g + h) + bias, ties by (h, index).
 
@@ -182,7 +180,7 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray,
         order.append(Coord(r, c))
         if idx == goal_idx:
             path = _reconstruct(parent, start_idx, goal_idx, width)
-            return _finish(grid.shape, path, closed, order, g[goal_idx], t0)
+            return _finish(grid.shape, path, closed, order, g[goal_idx])
         g_here = g[idx]
         for dr, dc, step in NEIGHBOR_OFFSETS:
             nr, nc = r + dr, c + dc
@@ -240,7 +238,6 @@ def jps(instance: PlanInstance) -> SearchResult:
     by a scan, so its popcount is the honest \"search area\"; jump_pops counts
     only the heap pops.
     """
-    t0 = time.perf_counter()
     grid = instance.grid
     height, width = grid.shape
     occ = grid.occupancy
@@ -316,7 +313,7 @@ def jps(instance: PlanInstance) -> SearchResult:
                 chain.append(parent[chain[-1]])
             chain.reverse()
             path = _interpolate(chain)
-            return _finish(grid.shape, path, visited, order, g[cell], t0, jump_pops=pops)
+            return _finish(grid.shape, path, visited, order, g[cell], jump_pops=pops)
         for jp in successors(cell[0], cell[1], parent.get(cell)):
             if jp in expanded:
                 continue

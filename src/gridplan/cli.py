@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,14 @@ def _coord(text: str):
         return Coord(int(row), int(col))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'row,col', got {text!r}")
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    # NaN fails the comparison too
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1), got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     tr.add_argument("--w-area", type=float, default=1.0)
     tr.add_argument("--w-length", type=float, default=1.0)
-    tr.add_argument("--val-frac", type=float, default=0.2,
+    tr.add_argument("--val-frac", type=_fraction, default=0.2,
                     help="fraction of instances held out for validation")
     tr.add_argument("--depth", type=int, default=3, help="encoder stages")
     tr.add_argument("--base", type=int, default=16,
@@ -166,16 +175,18 @@ def cmd_plan(args) -> int:
         run, _ = planner(spec)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
+    t0 = time.perf_counter()
     result = run(instance)
+    elapsed = time.perf_counter() - t0
 
     payload = {
         "cost": result.cost,
         "expansions": result.expansions,
-        "elapsed_s": result.elapsed,
+        "elapsed_s": elapsed,
         "path": [[r, c] for r, c in result.path],
     }
     if args.algo == "dastar":
-        payload["search_area"] = result.search_area
+        payload["search_area"] = result.expansions
     if args.emit == "closed":
         payload["closed"] = [[r, c] for r, c in result.expansion_order]
 
@@ -184,9 +195,9 @@ def cmd_plan(args) -> int:
         return 0
     print(f"cost={result.cost!r}")
     print(f"expansions={result.expansions}")
-    print(f"elapsed_s={result.elapsed!r}")
+    print(f"elapsed_s={elapsed!r}")
     if args.algo == "dastar":
-        print(f"search_area={result.search_area}")
+        print(f"search_area={result.expansions}")
     if args.emit == "path":
         print("path:")
         for cell in result.path:

@@ -6,9 +6,10 @@ a caller (zero, a weighted-A* schedule, or a trained encoder). Each
 expansion is a hard choice of the open cell with the least score, so
 reported paths and costs are exact. When the bias carries a gradient the
 engine records a tape of the open set at every expansion, and
-autodiff.selection_sum turns it into the sums of the one-hot selections
-whose backward is the soft temperature weighting over each step's open
-cells.
+autodiff.selection_sum turns it into the sum of the one-hot selections,
+the closed set, whose backward is the soft temperature weighting over each
+step's open cells. The closed set is the only output that carries a
+gradient: the backtracked path is a constant, as in the losses that read it.
 
 The score is (S + H) + (bias - min bias) in float64 with ties broken by
 (score, heuristic, row-major index), and neighbor offers use the shared
@@ -20,52 +21,38 @@ weighted A*'s.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .classical import SelectionTape, _biased_search, octile_matrix
+from .classical import SearchResult, SelectionTape, _biased_search, octile_matrix
 from .errors import ShapeMismatchError
-from .grid import Coord, PlanInstance
+from .grid import PlanInstance
 
 
-@dataclass
-class DiffSearchResult:
-    """Discrete search outputs plus the differentiable selection sums.
+@dataclass(frozen=True, kw_only=True)
+class DiffSearchResult(SearchResult):
+    """A SearchResult plus the path and closed set as tensors.
 
-    mu sums the one-hot selections of path cells; closed sums all
-    selections. Both carry gradients back to the bias when it is a graph
-    leaf. path/cost/closed_matrix are plain discrete values.
+    mu is the 0/1 path matrix, a constant. closed sums all selections and,
+    when the bias is a graph leaf, carries the gradient back to it.
     """
 
-    path: tuple[Coord, ...]
-    path_matrix: np.ndarray
-    closed_matrix: np.ndarray
-    expansions: int
-    elapsed: float
-    cost: float
     mu: Tensor
     closed: Tensor
-    expansion_order: tuple[Coord, ...] = field(repr=False, default=())
-
-    @property
-    def search_area(self) -> int:
-        return self.expansions
 
 
 def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
     """Run the search to the goal and backtrack the path.
 
-    When bias is a gradient-carrying tensor, the returned mu and closed
-    tensors are sums of the per-expansion one-hot selections (mu over path
-    cells only), giving the trainer its route into the selection softmax at
-    temperature sqrt(H*W), so the logit spread tracks map size. The
-    backtrace itself is discrete and outside the graph.
+    When bias is a gradient-carrying tensor, the returned closed tensor is
+    the sum of the per-expansion one-hot selections, giving the trainer its
+    route into the selection softmax at temperature sqrt(H*W), so the logit
+    spread tracks map size. The backtrace itself is discrete and outside the
+    graph, so mu never carries a gradient.
     """
-    t0 = time.perf_counter()
     shape = instance.grid.shape
     if bias is None:
         bias = Tensor(np.zeros(shape))
@@ -80,27 +67,12 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
     # with minimum 0, such as weighted_bias, pass through unchanged.
     shifted = bias.data - bias.data.min()
     tape = SelectionTape() if ad.grad_enabled() and bias.requires_grad else None
-    found = _biased_search(instance, octile_matrix(shape, instance.goal), shifted, t0, tape)
+    found = _biased_search(instance, octile_matrix(shape, instance.goal), shifted, tape)
 
     if tape is not None:
-        selected = np.array(tape.selected)
-        steps = (selected, np.array(tape.starts), np.array(tape.cells),
-                 np.array(tape.scores), math.sqrt(shape[0] * shape[1]))
-        closed = ad.selection_sum(bias, np.ones(selected.size), *steps)
-        on_path = found.path_matrix.reshape(-1)[selected].astype(np.float64)
-        mu = ad.selection_sum(bias, on_path, *steps)
+        closed = ad.selection_sum(bias, tape.selected, tape.starts, tape.cells,
+                                  tape.scores, math.sqrt(shape[0] * shape[1]))
     else:
-        mu = Tensor(found.path_matrix.astype(np.float64))
         closed = Tensor(found.closed_matrix.astype(np.float64))
-
-    return DiffSearchResult(
-        path=found.path,
-        path_matrix=found.path_matrix,
-        closed_matrix=found.closed_matrix,
-        expansions=found.expansions,
-        elapsed=time.perf_counter() - t0,
-        cost=found.cost,
-        mu=mu,
-        closed=closed,
-        expansion_order=found.expansion_order,
-    )
+    return DiffSearchResult(**vars(found), mu=Tensor(found.path_matrix.astype(np.float64)),
+                            closed=closed)

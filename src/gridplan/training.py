@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,15 @@ GRAD_CLIP = 10.0
 def area_loss(closed, mu) -> Tensor:
     """Count of visited cells off the final path: sum(closed * (1 - mu)).
 
-    mu enters as a constant mask, read off its forward values. Forward that
-    changes nothing: mu is the 0/1 path matrix and closed contains it, so the
-    sum is the count of closed cells off the path, sum(closed - mu). Backward
-    it matters: every selection, path steps included, receives upstream 1 on
-    each off-path cell and 0 on each path cell, so the centered selection
-    backward pulls path cells forward and pushes off-path frontier cells back.
-    Letting mu carry gradient too would cancel the closed term at path steps
-    and leave path and never-visited frontier cells with no signal at all.
+    Only closed carries a gradient; mu, the 0/1 path matrix, is a constant
+    mask. closed contains the path, so the sum is the count of closed cells
+    off the path, sum(closed - mu). Backward, every selection, path steps
+    included, receives upstream 1 on each off-path cell and 0 on each path
+    cell, so the centered selection backward pulls path cells forward and
+    pushes off-path frontier cells back. A gradient through mu would cancel
+    the closed term at path steps and leave path and never-visited frontier
+    cells with no signal at all, which is why the search returns mu as a
+    constant.
     """
     closed, mu = ad.as_tensor(closed), ad.as_tensor(mu)
     if closed.shape != mu.shape:
@@ -68,19 +69,6 @@ def path_length_loss(mu) -> Tensor:
     kernel = Tensor(OCTILE_KERNEL.reshape(1, 1, 3, 3))
     neighbor_costs = ad.conv2d(lifted, kernel)
     return ad.scale(ad.inner(neighbor_costs, lifted), 0.5)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    area: float
-    length: float
-    total: float
-
-    @classmethod
-    def from_result(cls, result: DiffSearchResult, w_a: float, w_l: float) -> "LossBreakdown":
-        area = float(result.expansions - len(result.path))
-        length = float(result.cost)
-        return cls(area=area, length=length, total=w_a * area + w_l * length)
 
 
 @dataclass(frozen=True)
@@ -200,12 +188,13 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 def imperative_loss(result: DiffSearchResult, w_a: float, w_l: float) -> Tensor:
     """Search-effort objective: w_a * extra visited + w_l * path length.
 
-    Both terms hold the backtracked path constant, so the length term adds
-    its exact value, result.cost, but no gradient; only the area term
-    trains. The length of a path is not lowered by dropping one of its cells
-    from a selection, which is what a gradient through mu would claim: along
-    the weighted-A* direction it outweighs the area gradient and points the
-    other way.
+    The value is w_a * (expansions - len(path)) + w_l * cost. Both terms
+    hold the backtracked path constant, so the length term adds its exact
+    value, result.cost, but no gradient; only the area term trains, through
+    result.closed. The length of a path is not lowered by dropping one of
+    its cells from a selection, which is what a gradient through the path
+    would claim: along the weighted-A* direction it outweighs the area
+    gradient and points the other way.
     """
     return ad.add(ad.scale(area_loss(result.closed, result.mu), w_a),
                   w_l * result.cost)
@@ -325,9 +314,8 @@ def train(train_instances, val_instances, config: TrainConfig,
                         log=stats,
                     )
                 loss.backward()
-                breakdown = LossBreakdown.from_result(result, config.w_a, config.w_l)
-                areas.append(breakdown.area)
-                lengths.append(breakdown.length)
+                areas.append(result.expansions - len(result.path))
+                lengths.append(result.cost)
                 # Free this instance's graph before the next search builds one.
                 del bias, result, loss
             for p in model.params.values():

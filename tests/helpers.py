@@ -234,16 +234,16 @@ def dense_search(occupancy: np.ndarray, start, goal, bias: np.ndarray) -> dict:
             "steps": steps}
 
 
-def dense_selection_grad(steps, upstream: np.ndarray, weights, tau: float) -> np.ndarray:
-    """Gradient of sum_t w_t * <sel_t, upstream> with respect to the bias.
+def dense_selection_grad(steps, upstream: np.ndarray, tau: float) -> np.ndarray:
+    """Gradient of sum_t <sel_t, upstream> with respect to the bias.
 
     Each one-hot selection sel_t stands for the soft weighting
     exp(-score / tau) over the cells open at step t, normalized there; a
     score moves one for one with its cell's bias.
     """
     grad = np.zeros_like(upstream, dtype=np.float64)
-    for (open_mask, score, _), weight in zip(steps, weights):
+    for open_mask, score, _ in steps:
         raw = np.where(open_mask, np.exp(-(score - score[open_mask].min()) / tau), 0.0)
         q = raw / raw.sum()
-        grad -= weight * q * (upstream - (q * upstream).sum()) / tau
+        grad -= q * (upstream - (q * upstream).sum()) / tau
     return grad

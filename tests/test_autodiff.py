@@ -122,19 +122,21 @@ class TestSelectionSum:
     TAPE = dict(selected=[0, 4], starts=[0, 1, 4], cells=[0, 1, 3, 4],
                 scores=[0.0, 2.0, 1.5, 1.0])
 
-    def test_forward_sums_weighted_one_hots(self):
-        out = ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 0.5], tau=1.0, **self.TAPE)
-        assert np.array_equal(out.data, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    def test_forward_sums_one_hots(self):
+        out = ad.selection_sum(ad.Tensor(np.zeros((2, 3))), tau=1.0, **self.TAPE)
+        assert np.array_equal(out.data, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_single_open_cell_gets_no_gradient(self):
+        # Every step has one open cell: the selections are forced.
         leaf = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-        out = ad.selection_sum(leaf, [1.0, 0.0], tau=1.0, **self.TAPE)
+        out = ad.selection_sum(leaf, selected=[0, 4], starts=[0, 1, 2], cells=[0, 4],
+                               scores=[0.0, 1.0], tau=1.0)
         ad.inner(out, ad.Tensor(np.arange(6.0).reshape(2, 3))).backward()
         assert np.array_equal(leaf.grad, np.zeros((2, 3)))
 
     def test_gradient_stays_on_open_cells(self):
         leaf = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-        out = ad.selection_sum(leaf, [1.0, 1.0], tau=2.0, **self.TAPE)
+        out = ad.selection_sum(leaf, tau=2.0, **self.TAPE)
         ad.inner(out, ad.Tensor(np.arange(6.0).reshape(2, 3))).backward()
         assert leaf.grad.reshape(-1)[[0, 2, 5]].tolist() == [0.0, 0.0, 0.0]
         assert np.all(leaf.grad.reshape(-1)[[1, 3, 4]] != 0.0)
@@ -146,12 +148,11 @@ class TestSelectionSum:
     ])
     def test_malformed_tape_rejected(self, bad):
         with pytest.raises(ShapeMismatchError):
-            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 1.0], tau=1.0,
-                             **{**self.TAPE, **bad})
+            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), tau=1.0, **{**self.TAPE, **bad})
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), [1.0, 1.0], tau=0.0, **self.TAPE)
+            ad.selection_sum(ad.Tensor(np.zeros((2, 3))), tau=0.0, **self.TAPE)
 
 
 class TestGraphMechanics:
@@ -187,6 +188,12 @@ class TestGraphMechanics:
         for op in (ad.add, ad.sub, ad.mul, ad.inner):
             with pytest.raises(ShapeMismatchError):
                 op(a, b)
+
+    def test_scalar_operand_not_broadcast(self):
+        a, s = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.array(2.0))
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ShapeMismatchError):
+                op(a, s)
 
     def test_forward_determinism(self):
         def run():
@@ -260,6 +267,13 @@ class TestCheckpointIO:
         path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"a"
                          + struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1) + bytes(64))
         with pytest.raises(CorruptCheckpointError, match="truncated"):
+            ad.load_tensors(path)
+
+    def test_empty_shape_beyond_int64(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"a"
+                         + struct.pack("<4I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        with pytest.raises(CorruptCheckpointError, match="too large"):
             ad.load_tensors(path)
 
     def test_truncated_header(self, tmp_path):

@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from gridplan import bench
 from gridplan.classical import astar
 from gridplan.cli import build_parser, main
+from gridplan.encoder import Arch, init_model, predict_bias, save_model
 from gridplan.grid import Coord, PlanInstance, load_map, save_map, generate_map
 
 
@@ -121,6 +124,24 @@ class TestPlan:
         ref = astar(PlanInstance(grid, start, goal), weight=2.0)
         assert payload["search_area"] == ref.expansions
         assert payload["cost"] == pytest.approx(ref.cost, abs=1e-12)
+
+    def test_model_elapsed_counts_the_encoder(self, one_map, tmp_path, monkeypatch, capsys):
+        # elapsed_s times the whole planning call, as bench's Rt does, so the
+        # encoder forward of a model bias falls inside it.
+        ckpt = tmp_path / "m.ckpt"
+        save_model(init_model(Arch(depth=1, base=4), seed=3), ckpt)
+
+        def slow_predict(*args, **kwargs):
+            time.sleep(0.05)
+            return predict_bias(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "predict_bias", slow_predict)
+        _, free = open_cells(one_map)
+        start, goal = free[0], free[-1]
+        assert main(["plan", "--algo", "dastar", "--p-source", f"model={ckpt}",
+                     "--map", str(one_map), "--start", f"{start.row},{start.col}",
+                     "--goal", f"{goal.row},{goal.col}", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["elapsed_s"] >= 0.05
 
     def test_unknown_p_source_exits_1(self, one_map, capsys):
         _, free = open_cells(one_map)
@@ -236,6 +257,14 @@ class TestTrain:
         assert strip(first) == strip(second)
         assert (out / "model.ckpt").read_bytes() == \
             (tmp_path / "re-model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1.5", "-0.5"])
+    def test_val_frac_outside_unit_interval_exits_2(self, map_dir, tmp_path, value):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(map_dir), "--epochs", "1",
+                  f"--val-frac={value}", "--out", str(tmp_path / "m.ckpt"),
+                  "--log", str(tmp_path / "l.csv"), "--quiet"])
+        assert info.value.code == 2
 
     def test_empty_data_dir_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--epochs", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 
 from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
-from gridplan.classical import (SQRT2, SelectionTape, _biased_search, astar,
-                                dijkstra, octile_matrix, weighted_bias)
+from gridplan.classical import (SQRT2, SearchResult, SelectionTape, _biased_search,
+                                astar, dijkstra, octile_matrix, weighted_bias)
 from gridplan.diffsearch import search
 from gridplan.errors import ShapeMismatchError, UnreachableGoalError
 from gridplan.grid import Coord, GridMap, PlanInstance
@@ -32,7 +33,7 @@ def record_tape(inst, bias=None):
     shape = inst.grid.shape
     tape = SelectionTape()
     field = np.zeros(shape) if bias is None else bias - bias.min()
-    _biased_search(inst, octile_matrix(shape, inst.goal), field, 0.0, tape)
+    _biased_search(inst, octile_matrix(shape, inst.goal), field, tape)
     return tape
 
 
@@ -42,15 +43,10 @@ def open_at(tape, t):
     return dict(zip(tape.cells[lo:hi], tape.scores[lo:hi]))
 
 
-def oracle_grad(inst, bias, upstream, on_path_only=False):
-    """Dense-oracle gradient of sum_t w_t <sel_t, upstream> and its trace."""
+def oracle_grad(inst, bias, upstream):
+    """Dense-oracle gradient of sum_t <sel_t, upstream> and its trace."""
     ref = dense_search(inst.grid.occupancy, inst.start, inst.goal, bias)
-    path = set(ref["path"])
-    width = inst.grid.shape[1]
-    weights = [float(divmod(int(i), width) in path) if on_path_only else 1.0
-               for _, _, i in ref["steps"]]
-    tau = math.sqrt(bias.size)
-    return ref, dense_selection_grad(ref["steps"], upstream, weights, tau)
+    return ref, dense_selection_grad(ref["steps"], upstream, math.sqrt(bias.size))
 
 
 class TestConfig:
@@ -116,7 +112,7 @@ class TestStateMechanics:
     def test_expand_rejects_unopened_cell(self):
         leaf = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            ad.selection_sum(leaf, [1.0], [3], [0, 2], [0, 1], [0.0, 1.0], tau=1.0)
+            ad.selection_sum(leaf, [3], [0, 2], [0, 1], [0.0, 1.0], tau=1.0)
 
     def test_open_closed_disjoint_throughout(self):
         inst = make_instances(1, size=16, seed=5)[0]
@@ -157,6 +153,19 @@ class TestDegeneracyToClassical:
                 cell = divmod(sel, 24)
                 assert abs(open_at(tape, t)[sel] - (field[cell] + h[cell])) < 1e-9
 
+    def test_zero_bias_result_is_astars_search_result(self):
+        # search() returns a SearchResult whose every field equals astar's:
+        # the differentiable result adds tensors, never different facts.
+        for inst in make_instances(3, size=24, seed=23):
+            got, want = search(inst), astar(inst)
+            assert isinstance(got, SearchResult)
+            for f in dataclasses.fields(SearchResult):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
+
     def test_empty_corner_to_corner(self):
         res = search(empty_instance(8, (0, 0), (7, 7)))
         assert res.cost == pytest.approx(7 * SQRT2, abs=1e-12)
@@ -175,7 +184,6 @@ class TestSoundnessUnderBias:
             assert res.cost >= dijkstra(inst).cost - 1e-9
             assert (res.closed_matrix >= res.path_matrix).all()
             assert res.expansions == int(res.closed_matrix.sum())
-            assert res.search_area == res.expansions
 
     def test_constant_shift_changes_nothing(self):
         inst = make_instances(1, size=24, seed=81)[0]
@@ -205,11 +213,20 @@ class TestGradients:
         assert np.array_equal(graph.mu.data, graph.path_matrix.astype(float))
         assert np.array_equal(graph.closed.data, graph.closed_matrix.astype(float))
 
+    def test_only_closed_carries_gradient(self):
+        inst = make_instances(1, size=16, seed=111)[0]
+        leaf = Tensor(np.random.default_rng(4).uniform(0.0, 4.0, size=inst.grid.shape),
+                      requires_grad=True)
+        res = search(inst, bias=leaf)
+        assert res.closed.requires_grad
+        assert not res.mu.requires_grad
+        assert res.mu._parents == ()
+
     def test_plain_difference_sum_cancels_to_zero_gradient(self):
         # sum(C - mu) sends one flat upstream value to every cell of each
         # selection; the normalized selection backward centers that away.
-        # training.area_loss holds mu constant to avoid exactly this
-        # cancellation.
+        # training.area_loss masks closed with the path instead, so its
+        # upstream is not flat.
         inst = make_instances(1, size=16, seed=111)[0]
         rng = np.random.default_rng(4)
         leaf = Tensor(rng.uniform(0.0, 4.0, size=inst.grid.shape),
@@ -291,16 +308,6 @@ class TestDenseOracle:
             assert list(res.expansion_order) == ref["order"]
             assert [tuple(c) for c in res.path] == ref["path"]
             assert res.cost == ref["cost"]
-            assert relative_error(leaf.grad, want) < 1e-12
-
-    def test_path_weighted_selections_match(self):
-        # mu weights each step by whether its cell is on the path.
-        rng = np.random.default_rng(23)
-        for inst, values in oracle_cases()[::2]:
-            probe = rng.normal(size=inst.grid.shape)
-            leaf = Tensor(values.copy(), requires_grad=True)
-            ad.inner(search(inst, bias=leaf).mu, Tensor(probe)).backward()
-            _, want = oracle_grad(inst, values, probe, on_path_only=True)
             assert relative_error(leaf.grad, want) < 1e-12
 
 

@@ -14,7 +14,7 @@ from gridplan import training
 from gridplan.diffsearch import search
 from gridplan.encoder import Arch, init_model, predict_bias
 from gridplan.errors import DivergenceError, ShapeMismatchError
-from gridplan.training import (AdamOptimizer, LossBreakdown, SgdMomentumOptimizer,
+from gridplan.training import (AdamOptimizer, SgdMomentumOptimizer,
                                TrainConfig, area_loss, clip_gradients,
                                imperative_loss, path_length_loss, supervised_loss,
                                train, validate, write_al_curve,
@@ -90,21 +90,13 @@ class TestAreaLoss:
             assert area_loss(res.closed, res.mu).data == expected
 
 
-class TestLossBreakdown:
-    def test_total_is_exact_weighted_sum(self):
-        for inst in make_instances(5, size=16, seed=34):
-            res = search(inst)
-            b = LossBreakdown.from_result(res, w_a=2.0, w_l=0.5)
-            assert b.total == 2.0 * b.area + 0.5 * b.length
-            assert b.area >= 0
-            assert b.length > 0
-
-    def test_matches_imperative_loss_tensor(self):
+class TestImperativeLoss:
+    def test_value_is_weighted_area_plus_cost(self):
         for inst in make_instances(5, size=16, seed=35):
             res = search(inst)
-            b = LossBreakdown.from_result(res, w_a=1.0, w_l=1.0)
-            loss = imperative_loss(res, 1.0, 1.0)
-            assert loss.data == pytest.approx(b.total, abs=1e-9)
+            loss = imperative_loss(res, 2.0, 0.5)
+            want = 2.0 * (res.expansions - len(res.path)) + 0.5 * res.cost
+            assert loss.data == pytest.approx(want, abs=1e-9)
 
 
 class TestSupervisedLoss:
