@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation on dense float64 numpy arrays.
 
-Exactly the operations the instance encoder, the losses and the
-differentiable search need, nothing more. The search enters the graph
+Exactly the operations a gradient crosses in the instance encoder, the
+losses and the differentiable search, nothing more; constants are built in
+numpy and enter as leaf Tensors. The search enters the graph
 through one fused op, selection_sum, which turns the tape of a heap search
 into the sum of its one-hot selections. Shapes must match exactly for
 binary ops; nothing broadcasts. Backward walks an explicit topological
@@ -59,9 +60,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -145,20 +143,6 @@ def sub(a, b) -> Tensor:
     return _record(out_data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _record(out_data, (a, b), backward)
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
 
@@ -226,14 +210,15 @@ def inner(a, b) -> Tensor:
     return _record(out_data, (a, b), backward)
 
 
-def conv2d(x, kernel, bias=None) -> Tensor:
-    """Channelwise cross-correlation: x (Cin,H,W) with kernel (Cout,Cin,kh,kw).
+def conv2d(x, kernel, bias) -> Tensor:
+    """Channelwise cross-correlation: x (Cin,H,W) with kernel (Cout,Cin,kh,kw),
+    plus a per-output-channel bias (Cout,).
 
     Odd kernel sides only, zero-padded so the output keeps H and W.
     Gradients reach x, kernel, and bias; the backward scatters per kernel
     tap, so its cost is kh*kw sliced additions.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ShapeMismatchError(
             f"conv2d wants x (Cin,H,W) and kernel (Cout,Cin,kh,kw), got {x.shape} and {kernel.shape}"
@@ -243,20 +228,15 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         raise ShapeMismatchError(f"x has {x.shape[0]} channels, kernel expects {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError(f"kernel sides must be odd, got {kh}x{kw}")
+    if bias.shape != (cout,):
+        raise ShapeMismatchError(f"bias shape {bias.shape} != ({cout},)")
     ph, pw = kh // 2, kw // 2
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeMismatchError(f"bias shape {bias.shape} != ({cout},)")
 
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
     oh, ow = x.shape[1], x.shape[2]
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    out_data = np.tensordot(kernel.data, windows, axes=([1, 2, 3], [0, 3, 4]))
-    if bias is not None:
-        out_data = out_data + bias.data[:, None, None]
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out_data = (np.tensordot(kernel.data, windows, axes=([1, 2, 3], [0, 3, 4]))
+                + bias.data[:, None, None])
 
     def backward(g):
         if x.requires_grad:
@@ -277,10 +257,10 @@ def conv2d(x, kernel, bias=None) -> Tensor:
                         g, xp[:, u:u + oh, v:v + ow], axes=([1, 2], [1, 2])
                     )
             kernel._accumulate(gk)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
 
-    return _record(out_data, parents, backward)
+    return _record(out_data, (x, kernel, bias), backward)
 
 
 def maxpool2(a) -> Tensor:
@@ -345,19 +325,6 @@ def reshape(a, shape) -> Tensor:
 
     def backward(g):
         a._accumulate(g.reshape(a.shape))
-
-    return _record(out_data, (a,), backward)
-
-
-def pad2d(a, extra_rows: int, extra_cols: int) -> Tensor:
-    """Zero-pad (C,H,W) at the bottom/right edges."""
-    a = as_tensor(a)
-    if a.data.ndim != 3:
-        raise ShapeMismatchError(f"pad2d wants (C,H,W), got {a.shape}")
-    out_data = np.pad(a.data, ((0, 0), (0, extra_rows), (0, extra_cols)))
-
-    def backward(g):
-        a._accumulate(g[:, :a.shape[1], :a.shape[2]])
 
     return _record(out_data, (a,), backward)
 

@@ -40,10 +40,6 @@ NEIGHBOR_OFFSETS = (
     (1, -1, SQRT2), (1, 0, 1.0), (1, 1, SQRT2),
 )
 
-STRAIGHT_DIRS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-DIAGONAL_DIRS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Output of one planner run.

@@ -217,9 +217,10 @@ def cmd_train(args) -> int:
         seq = np.random.SeedSequence((args.seed, i))
         instances.append(sample_instance(load_map(path),
                                          seed=int(seq.generate_state(1)[0])))
-    n_val = min(len(instances) - 1, max(1, round(len(instances) * args.val_frac)))
-    if len(instances) < 2:
-        n_val = 0
+    # A positive fraction holds out at least one instance; training keeps one.
+    n_val = 0
+    if args.val_frac > 0:
+        n_val = min(len(instances) - 1, max(1, round(len(instances) * args.val_frac)))
     val_instances = instances[len(instances) - n_val:]
     train_instances = instances[:len(instances) - n_val]
 

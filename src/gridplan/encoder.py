@@ -7,7 +7,7 @@ sigmoid output is scaled to [0, out_scale]. Fully convolutional, so any map
 size works: inputs are zero-padded to the next multiple of 2^depth and the
 output cropped back.
 
-The input is a 3-channel tensor: obstacle mask, one-hot start, one-hot goal.
+The input is a 3-channel array: obstacle mask, one-hot start, one-hot goal.
 The network appends a fourth channel itself, the octile distance to the goal
 divided by H + W, so a field that grows with distance to the goal (the shape
 of weighted A*'s bias) is one linear step away instead of something the
@@ -148,11 +148,18 @@ def forward(model: EncoderModel, x, record_graph: bool = False) -> Tensor:
         return _forward(model, x)
 
 
-def _forward(model: EncoderModel, x) -> Tensor:
+def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
+    """Encoder graph on a (3,H,W) array.
+
+    The input carries no gradient, so the goal-distance channel and the
+    zero padding to a multiple of 2^depth are built in numpy and enter the
+    graph as one constant Tensor. The crop and reshape of the output stay
+    graph ops because the gradient crosses them.
+    """
     arch = model.arch
     p = model.params
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if x.data.ndim != 3 or x.shape[0] != 3:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] != 3:
         raise DimensionUnderflowError(f"input must be (3,H,W), got {x.shape}")
     height, width = x.shape[1], x.shape[2]
     unit = 2 ** arch.depth
@@ -160,11 +167,10 @@ def _forward(model: EncoderModel, x) -> Tensor:
         raise DimensionUnderflowError(
             f"map {height}x{width} smaller than the receptive contract {unit}x{unit}"
         )
-    x = ad.concat_channels([x, Tensor(goal_distance_channel(x.data[2]))])
     pad_r = (-height) % unit
     pad_c = (-width) % unit
-    if pad_r or pad_c:
-        x = ad.pad2d(x, pad_r, pad_c)
+    x = np.concatenate([x, goal_distance_channel(x[2])])
+    x = Tensor(np.pad(x, ((0, 0), (0, pad_r), (0, pad_c))))
 
     skips = []
     for level in range(arch.depth):
@@ -228,5 +234,7 @@ def load_model(path, expect_arch: Arch | None = None) -> EncoderModel:
                 raise ArchMismatchError(
                     f"tensor {key!r} has shape {raw[key].shape}, {arch} needs {shape}"
                 )
+            if not np.isfinite(raw[key]).all():
+                raise CorruptCheckpointError(f"tensor {key!r} has non-finite entries")
             params[key] = Tensor(raw[key], requires_grad=True)
     return EncoderModel(arch=arch, params=params)

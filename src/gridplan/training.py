@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import correlate
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -28,7 +29,7 @@ from .encoder import Arch, EncoderModel, init_model, predict_bias
 from .errors import DivergenceError, ShapeMismatchError, UnreachableGoalError
 from .metrics import al_metric, exp_metric
 
-# Octile step costs to the 8 neighbors; convolving a path matrix with this
+# Octile step costs to the 8 neighbors; correlating a path matrix with this
 # kernel and taking half the inner product with the path recovers the exact
 # per-step path length.
 OCTILE_KERNEL = np.array(
@@ -42,11 +43,12 @@ GRAD_CLIP = 10.0
 
 
 def area_loss(closed, mu) -> Tensor:
-    """Count of visited cells off the final path: sum(closed * (1 - mu)).
+    """Count of visited cells off the final path: <closed, 1 - mu>.
 
-    Only closed carries a gradient; mu, the 0/1 path matrix, is a constant
-    mask. closed contains the path, so the sum is the count of closed cells
-    off the path, sum(closed - mu). Backward, every selection, path steps
+    Only closed carries a gradient; mu, the 0/1 path matrix, is a constant,
+    so the mask 1 - mu is built in numpy and the loss is one inner product.
+    closed contains the path, so the value is the count of closed cells off
+    the path, sum(closed - mu). Backward, every selection, path steps
     included, receives upstream 1 on each off-path cell and 0 on each path
     cell, so the centered selection backward pulls path cells forward and
     pushes off-path frontier cells back. A gradient through mu would cancel
@@ -54,21 +56,20 @@ def area_loss(closed, mu) -> Tensor:
     cells with no signal at all, which is why the search returns mu as a
     constant.
     """
-    closed, mu = ad.as_tensor(closed), ad.as_tensor(mu)
-    if closed.shape != mu.shape:
-        raise ShapeMismatchError(f"shapes {closed.shape} and {mu.shape} differ")
-    return ad.sum_all(ad.mul(closed, Tensor(1.0 - mu.data)))
+    return ad.inner(closed, Tensor(1.0 - ad.as_tensor(mu).data))
 
 
 def path_length_loss(mu) -> Tensor:
-    """Octile path length via neighbor convolution: <conv(mu, K), mu> / 2."""
-    mu = ad.as_tensor(mu)
-    if mu.data.ndim != 2:
+    """Octile path length of a 0/1 path matrix: <correlate(mu, K), mu> / 2.
+
+    No loss trains on the path, so this is computed in numpy and returned
+    as a 0-d constant Tensor.
+    """
+    mu = ad.as_tensor(mu).data
+    if mu.ndim != 2:
         raise ShapeMismatchError(f"path matrix must be 2-d, got {mu.shape}")
-    lifted = ad.reshape(mu, (1,) + tuple(mu.shape))
-    kernel = Tensor(OCTILE_KERNEL.reshape(1, 1, 3, 3))
-    neighbor_costs = ad.conv2d(lifted, kernel)
-    return ad.scale(ad.inner(neighbor_costs, lifted), 0.5)
+    neighbor_costs = correlate(mu, OCTILE_KERNEL, mode="constant")
+    return Tensor(0.5 * np.vdot(neighbor_costs, mu))
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,10 @@ class TrainConfig:
     mode: str = "imperative"
 
     def __post_init__(self):
+        for name in ("w_a", "w_l", "lr"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.w_a < 0 or self.w_l < 0 or (self.w_a == 0 and self.w_l == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
         if self.lr < 0:
@@ -114,11 +119,8 @@ class EpochStats:
 @dataclass(frozen=True)
 class ValidationStats:
     mean_al: float
-    std_al: float
     mean_exp: float
-    std_exp: float
     mean_pl: float
-    std_pl: float
     count: int
     failures: int
 
@@ -213,9 +215,10 @@ def validate(instances, model: EncoderModel | None = None,
              reference_areas: list[int] | None = None) -> ValidationStats:
     """Run the differentiable search per instance; model weights unchanged.
 
-    The selection bias comes from the model, or is zero without one. Returns mean/std of AL (sqrt extra visited + path
-    length), Exp (percent search-area reduction against classical A*), and PL
-    (path length). Unreachable instances are excluded and counted in failures.
+    The selection bias comes from the model, or is zero without one. Returns
+    the means of AL (sqrt extra visited + path length), Exp (percent
+    search-area reduction against classical A*), and PL (path length).
+    Unreachable instances are excluded and counted in failures.
     """
     als, exps, pls = [], [], []
     failures = 0
@@ -233,12 +236,9 @@ def validate(instances, model: EncoderModel | None = None,
         pls.append(res.cost)
     if not als:
         raise ValueError("no instance validated successfully")
-    arr_al, arr_exp, arr_pl = map(np.asarray, (als, exps, pls))
     return ValidationStats(
-        mean_al=float(arr_al.mean()), std_al=float(arr_al.std()),
-        mean_exp=float(arr_exp.mean()), std_exp=float(arr_exp.std()),
-        mean_pl=float(arr_pl.mean()), std_pl=float(arr_pl.std()),
-        count=len(als), failures=failures,
+        mean_al=float(np.mean(als)), mean_exp=float(np.mean(exps)),
+        mean_pl=float(np.mean(pls)), count=len(als), failures=failures,
     )
 
 

@@ -1,3 +1,4 @@
+import inspect
 import struct
 import zlib
 
@@ -13,35 +14,27 @@ from gridplan.errors import (
     ShapeMismatchError,
 )
 
+from . import fd_cases
 from .fd_cases import OP_CASES
 from .helpers import conv2d_oracle
 
 
 class TestForwardExamples:
-    def test_mul_values_and_grads(self):
-        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        out = ad.mul(a, b)
-        assert np.array_equal(out.data, [3.0, 8.0])
-        ad.sum_all(out).backward()
-        assert np.array_equal(a.grad, [3.0, 4.0])
-        assert np.array_equal(b.grad, [1.0, 2.0])
-
     def test_sigmoid_at_zero(self):
         x = ad.Tensor(np.array(0.0), requires_grad=True)
         y = ad.sigmoid(x)
-        assert y.item() == 0.5
+        assert float(y.data) == 0.5
         y.backward()
         assert x.grad == pytest.approx(0.25)
 
     def test_sum_of_ones(self):
-        assert ad.sum_all(ad.Tensor(np.ones((3, 3)))).item() == 9.0
+        assert float(ad.sum_all(ad.Tensor(np.ones((3, 3)))).data) == 9.0
 
     def test_inner_example(self):
         a = ad.Tensor(np.array([1.0, 0.0, 2.0]), requires_grad=True)
         b = ad.Tensor(np.array([5.0, 7.0, 3.0]))
         out = ad.inner(a, b)
-        assert out.item() == 11.0
+        assert float(out.data) == 11.0
         out.backward()
         assert np.array_equal(a.grad, b.data)
 
@@ -59,7 +52,7 @@ class TestConv:
         x = rng.normal(size=(1, 6, 7))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k))
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x)
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
@@ -69,7 +62,7 @@ class TestConv:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 5, 6))
         k = rng.normal(size=(3, 2, 3, 3))
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k)).data
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(np.zeros(3))).data
         if padding == "valid":
             out = out[:, 1:-1, 1:-1]
         assert np.allclose(out, conv2d_oracle(x, k, padding), atol=1e-12)
@@ -78,16 +71,18 @@ class TestConv:
         x = np.zeros((1, 4, 4))
         k = np.zeros((2, 1, 3, 3))
         bias = np.array([1.5, -2.0])
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), bias=ad.Tensor(bias))
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(bias))
         assert np.array_equal(out.data[0], np.full((4, 4), 1.5))
         assert np.array_equal(out.data[1], np.full((4, 4), -2.0))
 
     def test_shape_errors(self):
-        x = ad.Tensor(np.zeros((2, 4, 4)))
+        x, bias = ad.Tensor(np.zeros((2, 4, 4))), ad.Tensor(np.zeros(1))
         with pytest.raises(ShapeMismatchError):
-            ad.conv2d(x, ad.Tensor(np.zeros((1, 3, 3, 3))))  # channel mismatch
+            ad.conv2d(x, ad.Tensor(np.zeros((1, 3, 3, 3))), bias)  # channel mismatch
         with pytest.raises(ShapeMismatchError):
-            ad.conv2d(x, ad.Tensor(np.zeros((1, 2, 2, 2))))  # even kernel
+            ad.conv2d(x, ad.Tensor(np.zeros((1, 2, 2, 2))), bias)  # even kernel
+        with pytest.raises(ShapeMismatchError):
+            ad.conv2d(x, ad.Tensor(np.zeros((1, 2, 3, 3))), ad.Tensor(np.zeros(2)))  # bias length
 
 
 class TestResample:
@@ -158,14 +153,14 @@ class TestSelectionSum:
 class TestGraphMechanics:
     def test_accumulation_through_duplicate_use(self):
         x = ad.Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        out = ad.sum_all(ad.add(ad.mul(x, x), x))  # x^2 + x
+        out = ad.add(ad.inner(x, x), ad.sum_all(x))  # sum(x^2 + x)
         out.backward()
         assert np.array_equal(x.grad, [5.0, 7.0])  # 2x + 1
 
     def test_no_grad_blocks_recording(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            y = ad.mul(x, x)
+            y = ad.add(x, x)
         assert not y.requires_grad
         assert y._parents == ()
 
@@ -185,13 +180,13 @@ class TestGraphMechanics:
 
     def test_shape_mismatch_rejected(self):
         a, b = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))
-        for op in (ad.add, ad.sub, ad.mul, ad.inner):
+        for op in (ad.add, ad.sub, ad.inner):
             with pytest.raises(ShapeMismatchError):
                 op(a, b)
 
     def test_scalar_operand_not_broadcast(self):
         a, s = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.array(2.0))
-        for op in (ad.add, ad.sub, ad.mul):
+        for op in (ad.add, ad.sub):
             with pytest.raises(ShapeMismatchError):
                 op(a, s)
 
@@ -200,7 +195,7 @@ class TestGraphMechanics:
             rng = np.random.default_rng(123)
             x = ad.Tensor(rng.normal(size=(2, 8, 8)))
             k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
-            return ad.sigmoid(ad.conv2d(x, k)).data
+            return ad.sigmoid(ad.conv2d(x, k, ad.Tensor(rng.normal(size=3)))).data
 
         assert np.array_equal(run(), run())
 
@@ -212,6 +207,14 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(4):
             OP_CASES[name](rng)
+
+    def test_every_op_has_a_case(self):
+        # An op is a function that records a graph node; criterion 05
+        # claims finite-difference checks for all of them.
+        ops = [name for name, f in inspect.getmembers(ad, inspect.isfunction)
+               if f.__module__ == ad.__name__ and "_record" in f.__code__.co_names]
+        source = inspect.getsource(fd_cases)
+        assert ops and [op for op in ops if f"ad.{op}(" not in source] == []
 
 
 class TestCheckpointIO:

@@ -266,6 +266,25 @@ class TestTrain:
                   "--log", str(tmp_path / "l.csv"), "--quiet"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_exits_1_without_checkpoint(self, map_dir, tmp_path, capsys, value):
+        rc = main(["train", "--data", str(map_dir), "--epochs", "1",
+                   f"--lr={value}", "--out", str(tmp_path / "m.ckpt"),
+                   "--log", str(tmp_path / "l.csv"), "--quiet"])
+        assert rc == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_val_frac_zero_holds_out_nothing(self, map_dir, tmp_path):
+        rc = main(["train", "--data", str(map_dir), "--epochs", "1",
+                   "--depth", "1", "--base", "4", "--val-frac", "0",
+                   "--out", str(tmp_path / "m.ckpt"),
+                   "--log", str(tmp_path / "l.csv"), "--quiet"])
+        assert rc == 0
+        header, row = (line.split(",") for line in
+                       (tmp_path / "l.csv").read_text().splitlines())
+        assert dict(zip(header, row))["val_AL"] == "nan"
+
     def test_empty_data_dir_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--epochs", "1",
                    "--out", str(tmp_path / "m.ckpt"),

@@ -233,6 +233,14 @@ class TestCheckpointing:
         with pytest.raises(ArchMismatchError):
             load_model(path)
 
+    def test_non_finite_weight_rejected(self, tmp_path):
+        model = init_model(small_arch(), seed=14)
+        model.params["enc0.w"].data[0, 0, 1, 1] = np.nan
+        path = tmp_path / "enc.ckpt"
+        save_model(model, path)
+        with pytest.raises(CorruptCheckpointError, match="non-finite"):
+            load_model(path)
+
     def test_truncated_checkpoint(self, tmp_path):
         model = init_model(small_arch(), seed=14)
         path = tmp_path / "enc.ckpt"

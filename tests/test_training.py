@@ -137,6 +137,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lr", "w_a", "w_l"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{name: value})
+
 
 class TestOptimizers:
     def _params(self, values):
