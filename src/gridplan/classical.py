@@ -13,6 +13,17 @@ expansion, the selected cell and the cells open at that step with their
 scores, which is all the selection backward needs. Without a tape that work
 is skipped.
 
+Per expansion the planners touch only Python ints, floats, bytes and
+bytearrays, never numpy scalars. The map is read from one table of free
+flags built per call with a one-cell obstacle ring around it, so a step off
+the map reads as blocked and needs no bounds test, and the flat index of a
+cell never wraps from the end of one row to the start of the next. The
+closed set is a bytearray. h and bias are read through memoryviews of
+their float64 arrays, which yield Python floats of the same float64 values:
+(g + h) + bias is then the same two float64 additions in the same order as
+in numpy, so every score, tie and trace is bit for bit what a numpy-scalar
+engine computes.
+
 Planners return what they found, not how long it took: a caller that needs
 wall time (cli plan, bench) times the call, so that the clock covers the
 same work, encoder forward included, whatever the method.
@@ -60,7 +71,7 @@ class SearchResult:
     jump_pops: int | None = None
 
 
-def octile(a: Coord, b: Coord) -> float:
+def octile(a: tuple[int, int], b: tuple[int, int]) -> float:
     dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
     return max(dr, dc) + (SQRT2 - 1.0) * min(dr, dc)
 
@@ -85,15 +96,26 @@ def _reconstruct(parent: dict[int, int], start_idx: int, goal_idx: int,
     return [Coord(*divmod(i, width)) for i in reversed(chain)]
 
 
-def _finish(shape, path, closed, order, cost, jump_pops=None) -> SearchResult:
+def _free_table(occupancy: np.ndarray) -> bytes:
+    """Free flags (1 = free) of the map inside a one-cell obstacle ring.
+
+    Row-major over the padded (H + 2) x (W + 2) grid, so cell (r, c) sits
+    at (r + 1) * (W + 2) + c + 1, and a step off the map lands on the ring
+    and reads as blocked: no bounds test is needed.
+    """
+    return (np.pad(occupancy, 1, constant_values=1) == 0).tobytes()
+
+
+def _finish(shape, path, closed: bytearray, order, cost, jump_pops=None) -> SearchResult:
     path_matrix = np.zeros(shape, dtype=np.uint8)
     for cell in path:
         path_matrix[cell] = 1
+    closed_matrix = np.frombuffer(closed, dtype=np.uint8).reshape(shape)
     return SearchResult(
         path=tuple(path),
         path_matrix=path_matrix,
-        closed_matrix=closed.astype(np.uint8),
-        expansions=int(closed.sum()),
+        closed_matrix=closed_matrix,
+        expansions=int(closed_matrix.sum()),
         cost=cost,
         expansion_order=tuple(order),
         jump_pops=jump_pops,
@@ -148,49 +170,57 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     """
     grid = instance.grid
     height, width = grid.shape
-    occ = grid.occupancy
+    free = _free_table(grid.occupancy)
+    # Per offset: the flat-index step, the padded-index step, the step cost.
+    # Cell idx in row r sits at idx + 2r + pad0 of the padded table.
+    pad0 = width + 3
+    steps = [(dr * width + dc, dr * (width + 2) + dc, cost)
+             for dr, dc, cost in NEIGHBOR_OFFSETS]
     start_idx = instance.start.row * width + instance.start.col
     goal_idx = instance.goal.row * width + instance.goal.col
 
-    h_flat = h_mat.reshape(-1)
-    bias_flat = bias.reshape(-1)
+    # Indexing a memoryview gives Python floats with the same float64
+    # values, so every score rounds as it would in numpy.
+    h_flat = memoryview(np.ascontiguousarray(h_mat, dtype=np.float64).ravel())
+    bias_flat = memoryview(np.ascontiguousarray(bias, dtype=np.float64).ravel())
     g: dict[int, float] = {start_idx: 0.0}
     parent: dict[int, int] = {}
-    closed = np.zeros((height, width), dtype=bool)
-    closed_flat = closed.reshape(-1)
+    closed = bytearray(height * width)
     order: list[Coord] = []
+    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
     f0 = (0.0 + h_flat[start_idx]) + bias_flat[start_idx]
-    heap: list[tuple[float, float, int, float]] = [(f0, float(h_flat[start_idx]), start_idx, 0.0)]
+    heap: list[tuple[float, float, int, float]] = [(f0, h_flat[start_idx], start_idx, 0.0)]
     # Current score of every open cell, kept only when recording a tape.
     open_scores = {start_idx: f0} if tape is not None else None
 
     while heap:
-        _, _, idx, g_pushed = heapq.heappop(heap)
-        if closed_flat[idx] or g_pushed != g[idx]:
+        _, _, idx, g_pushed = heappop(heap)
+        if closed[idx] or g_pushed != g[idx]:
             continue
         if open_scores is not None:
             tape.record(idx, open_scores)
             del open_scores[idx]
-        closed_flat[idx] = True
+        closed[idx] = 1
         r, c = divmod(idx, width)
         order.append(Coord(r, c))
         if idx == goal_idx:
             path = _reconstruct(parent, start_idx, goal_idx, width)
             return _finish(grid.shape, path, closed, order, g[goal_idx])
         g_here = g[idx]
-        for dr, dc, step in NEIGHBOR_OFFSETS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < height and 0 <= nc < width) or occ[nr, nc]:
+        pidx = idx + 2 * r + pad0
+        for doff, poff, step in steps:
+            if not free[pidx + poff]:
                 continue
-            nidx = nr * width + nc
-            if closed_flat[nidx]:
+            nidx = idx + doff
+            if closed[nidx]:
                 continue
             cand = g_here + step
-            if cand < g.get(nidx, math.inf):
+            if cand < g.get(nidx, inf):
                 g[nidx] = cand
                 parent[nidx] = idx
-                f = (cand + h_flat[nidx]) + bias_flat[nidx]
-                heapq.heappush(heap, (f, float(h_flat[nidx]), nidx, cand))
+                h = h_flat[nidx]
+                f = (cand + h) + bias_flat[nidx]
+                heappush(heap, (f, h, nidx, cand))
                 if open_scores is not None:
                     open_scores[nidx] = f
 
@@ -199,30 +229,31 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     )
 
 
-def _forced_dirs(occ: np.ndarray, r: int, c: int, dr: int, dc: int):
-    """Forced-neighbor directions at (r, c) when travelling along (dr, dc)."""
-    height, width = occ.shape
+def _forced_dirs(free: bytes, pw: int, r: int, c: int, dr: int, dc: int):
+    """Forced-neighbor directions at (r, c) when travelling along (dr, dc).
 
-    def free(rr, cc):
-        return 0 <= rr < height and 0 <= cc < width and not occ[rr, cc]
-
+    free is the padded table of _free_table and pw its row width, W + 2.
+    """
+    p = (r + 1) * pw + c + 1
     forced = []
     if dr == 0:
         # Horizontal travel: a blocked cell beside the path with a free
         # diagonal ahead of it forces a turn.
         for side in (-1, 1):
-            if not free(r + side, c) and free(r + side, c + dc):
+            q = p + side * pw
+            if not free[q] and free[q + dc]:
                 forced.append((side, dc))
     elif dc == 0:
         for side in (-1, 1):
-            if not free(r, c + side) and free(r + dr, c + side):
+            if not free[p + side] and free[p + dr * pw + side]:
                 forced.append((dr, side))
     else:
         # Diagonal travel: a blocked cell behind either natural straight
         # neighbor forces the corresponding counter-diagonal.
-        if not free(r - dr, c) and free(r - dr, c + dc):
+        q = p - dr * pw
+        if not free[q] and free[q + dc]:
             forced.append((-dr, dc))
-        if not free(r, c - dc) and free(r + dr, c - dc):
+        if not free[p - dc] and free[p + dr * pw - dc]:
             forced.append((dr, -dc))
     return forced
 
@@ -236,37 +267,36 @@ def jps(instance: PlanInstance) -> SearchResult:
     """
     grid = instance.grid
     height, width = grid.shape
-    occ = grid.occupancy
+    free = _free_table(grid.occupancy)
+    pw = width + 2
     start, goal = instance.start, instance.goal
-    goal_t = (goal.row, goal.col)
+    start_t, goal_t = (start.row, start.col), (goal.row, goal.col)
 
-    visited = np.zeros((height, width), dtype=bool)
+    visited = bytearray(height * width)
     order: list[Coord] = []
 
     def touch(r, c):
-        if not visited[r, c]:
-            visited[r, c] = True
+        idx = r * width + c
+        if not visited[idx]:
+            visited[idx] = 1
             order.append(Coord(r, c))
-
-    def free(r, c):
-        return 0 <= r < height and 0 <= c < width and not occ[r, c]
 
     def jump_straight(r, c, dr, dc):
         while True:
             r, c = r + dr, c + dc
-            if not free(r, c):
+            if not free[(r + 1) * pw + c + 1]:
                 return None
             touch(r, c)
-            if (r, c) == goal_t or _forced_dirs(occ, r, c, dr, dc):
+            if (r, c) == goal_t or _forced_dirs(free, pw, r, c, dr, dc):
                 return (r, c)
 
     def jump_diag(r, c, dr, dc):
         while True:
             r, c = r + dr, c + dc
-            if not free(r, c):
+            if not free[(r + 1) * pw + c + 1]:
                 return None
             touch(r, c)
-            if (r, c) == goal_t or _forced_dirs(occ, r, c, dr, dc):
+            if (r, c) == goal_t or _forced_dirs(free, pw, r, c, dr, dc):
                 return (r, c)
             if jump_straight(r, c, dr, 0) is not None or jump_straight(r, c, 0, dc) is not None:
                 return (r, c)
@@ -275,13 +305,14 @@ def jps(instance: PlanInstance) -> SearchResult:
         if parent_cell is None:
             dirs = [(dr, dc) for dr, dc, _ in NEIGHBOR_OFFSETS]
         else:
-            dr = int(np.sign(r - parent_cell[0]))
-            dc = int(np.sign(c - parent_cell[1]))
+            pr, pc = parent_cell
+            dr = int(r > pr) - int(r < pr)
+            dc = int(c > pc) - int(c < pc)
             if dr != 0 and dc != 0:
                 dirs = [(dr, dc), (dr, 0), (0, dc)]
             else:
                 dirs = [(dr, dc)]
-            dirs += _forced_dirs(occ, r, c, dr, dc)
+            dirs += _forced_dirs(free, pw, r, c, dr, dc)
         out = []
         for dr, dc in dirs:
             jp = jump_diag(r, c, dr, dc) if dr and dc else jump_straight(r, c, dr, dc)
@@ -289,11 +320,11 @@ def jps(instance: PlanInstance) -> SearchResult:
                 out.append(jp)
         return out
 
-    g = {(start.row, start.col): 0.0}
+    g = {start_t: 0.0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     expanded: set[tuple[int, int]] = set()
-    h0 = octile(start, goal)
-    heap = [(h0, h0, start.row * width + start.col, (start.row, start.col), 0.0)]
+    h0 = octile(start_t, goal_t)
+    heap = [(h0, h0, start.row * width + start.col, start_t, 0.0)]
     pops = 0
 
     while heap:
@@ -305,19 +336,20 @@ def jps(instance: PlanInstance) -> SearchResult:
         touch(*cell)
         if cell == goal_t:
             chain = [cell]
-            while chain[-1] != (start.row, start.col):
+            while chain[-1] != start_t:
                 chain.append(parent[chain[-1]])
             chain.reverse()
             path = _interpolate(chain)
             return _finish(grid.shape, path, visited, order, g[cell], jump_pops=pops)
+        g_cell = g[cell]
         for jp in successors(cell[0], cell[1], parent.get(cell)):
             if jp in expanded:
                 continue
-            cand = g[cell] + octile(Coord(*cell), Coord(*jp))
+            cand = g_cell + octile(cell, jp)
             if cand < g.get(jp, math.inf):
                 g[jp] = cand
                 parent[jp] = cell
-                h = octile(Coord(*jp), goal)
+                h = octile(jp, goal_t)
                 heapq.heappush(heap, (cand + h, h, jp[0] * width + jp[1], jp, cand))
 
     raise UnreachableGoalError(
@@ -329,7 +361,8 @@ def _interpolate(chain: list[tuple[int, int]]) -> list[Coord]:
     """Expand a jump-point chain into a full cell path with unit king moves."""
     path = [Coord(*chain[0])]
     for (r0, c0), (r1, c1) in zip(chain[:-1], chain[1:]):
-        dr, dc = int(np.sign(r1 - r0)), int(np.sign(c1 - c0))
+        dr = int(r1 > r0) - int(r1 < r0)
+        dc = int(c1 > c0) - int(c1 < c0)
         r, c = r0, c0
         while (r, c) != (r1, c1):
             r, c = r + dr, c + dc

@@ -105,7 +105,7 @@ class PlanInstance:
     goal: Coord
 
     def __post_init__(self):
-        start, goal = Coord(*self.start), Coord(*self.goal)
+        start, goal = _as_coord("start", self.start), _as_coord("goal", self.goal)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "goal", goal)
         for name, cell in (("start", start), ("goal", goal)):
@@ -115,6 +115,21 @@ class PlanInstance:
                 raise ValueError(f"{name} cell {tuple(cell)} is an obstacle")
         if start == goal:
             raise ValueError("start and goal must differ")
+
+
+def _as_coord(name: str, cell) -> Coord:
+    """Coord of Python ints from a (row, col) pair of Python or numpy integers.
+
+    Floats and bools are rejected, not truncated or read as 0 and 1.
+    """
+    try:
+        row, col = cell
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a (row, col) pair, got {cell!r}") from None
+    for v in (row, col):
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} {cell!r} must have integer coordinates")
+    return Coord(int(row), int(col))
 
 
 def free_components(grid: GridMap) -> tuple[np.ndarray, int]:
@@ -153,7 +168,7 @@ def generate_map(kind: str, width: int, height: int, density: float = 0.25,
 
 def _random_blocks(rng: np.random.Generator, width: int, height: int,
                    density: float) -> np.ndarray:
-    occ = np.zeros((height, width), dtype=np.uint8)
+    occ = bytearray(width * height)
     target = int(round(density * width * height))
     occupied = 0
     while occupied < target:
@@ -161,39 +176,45 @@ def _random_blocks(rng: np.random.Generator, width: int, height: int,
         bw = int(rng.integers(1, 4))
         r = int(rng.integers(0, height - bh + 1))
         c = int(rng.integers(0, width - bw + 1))
-        block = occ[r:r + bh, c:c + bw]
-        occupied += int((block == 0).sum())
-        block[:] = 1
-    return occ
+        for lo in range(r * width + c, (r + bh) * width, width):
+            occupied += occ.count(0, lo, lo + bw)
+            occ[lo:lo + bw] = b"\x01" * bw
+    return np.frombuffer(occ, dtype=np.uint8).reshape(height, width)
 
 
 def _maze(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
-    # Corridor cells live at odd coordinates; walls everywhere else.
-    occ = np.ones((height, width), dtype=np.uint8)
+    # Corridor cells live at odd coordinates; walls everywhere else. Node
+    # (r, c) is corridor cell (2r + 1, 2c + 1); both grids are flat, row-major.
+    occ = bytearray(b"\x01") * (height * width)
     node_rows = (height - 1) // 2
     node_cols = (width - 1) // 2
     start = (int(rng.integers(node_rows)), int(rng.integers(node_cols)))
-    visited = np.zeros((node_rows, node_cols), dtype=bool)
-    visited[start] = True
-    occ[2 * start[0] + 1, 2 * start[1] + 1] = 0
+    visited = bytearray(node_rows * node_cols)
+    visited[start[0] * node_cols + start[1]] = 1
+    occ[(2 * start[0] + 1) * width + 2 * start[1] + 1] = 0
     stack = [start]
     while stack:
         r, c = stack[-1]
-        candidates = [
-            (r + dr, c + dc)
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
-            if 0 <= r + dr < node_rows and 0 <= c + dc < node_cols
-            and not visited[r + dr, c + dc]
-        ]
+        i = r * node_cols + c
+        # Up, down, left, right: the order the candidates are drawn from.
+        candidates = []
+        if r > 0 and not visited[i - node_cols]:
+            candidates.append((r - 1, c))
+        if r + 1 < node_rows and not visited[i + node_cols]:
+            candidates.append((r + 1, c))
+        if c > 0 and not visited[i - 1]:
+            candidates.append((r, c - 1))
+        if c + 1 < node_cols and not visited[i + 1]:
+            candidates.append((r, c + 1))
         if not candidates:
             stack.pop()
             continue
         nr, nc = candidates[int(rng.integers(len(candidates)))]
-        visited[nr, nc] = True
-        occ[2 * nr + 1, 2 * nc + 1] = 0
-        occ[r + nr + 1, c + nc + 1] = 0  # knock out the wall between the nodes
+        visited[nr * node_cols + nc] = 1
+        occ[(2 * nr + 1) * width + 2 * nc + 1] = 0
+        occ[(r + nr + 1) * width + c + nc + 1] = 0  # knock out the wall between the nodes
         stack.append((nr, nc))
-    return occ
+    return np.frombuffer(occ, dtype=np.uint8).reshape(height, width)
 
 
 def _rooms(rng: np.random.Generator, width: int, height: int,

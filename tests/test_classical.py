@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridplan import diffsearch
 from gridplan.classical import (
     SQRT2,
     astar,
@@ -93,6 +94,47 @@ def oracle_instances():
 @pytest.fixture(scope="module")
 def weighted_instances():
     return make_instances(30, size=32, seed=300)
+
+
+class TestMapEdges:
+    """Flat indices must never connect the last column to the next row's first."""
+
+    def test_no_step_across_a_row_edge(self):
+        # Only (0, 2) and (1, 0) are free: adjacent as flat indices 2 and 3,
+        # but not on the grid.
+        occ = np.ones((3, 3), dtype=np.uint8)
+        occ[0, 2] = occ[1, 0] = 0
+        inst = PlanInstance(GridMap.from_occupancy(occ), Coord(0, 2), Coord(1, 0))
+        for planner in (*PLANNERS, diffsearch.search):
+            with pytest.raises(UnreachableGoalError):
+                planner(inst)
+        back = PlanInstance(inst.grid, inst.goal, inst.start)
+        for planner in (*PLANNERS, diffsearch.search):
+            with pytest.raises(UnreachableGoalError):
+                planner(back)
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_two_by_two_map(self, planner):
+        occ = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        res = planner(PlanInstance(GridMap.from_occupancy(occ), Coord(0, 0), Coord(1, 1)))
+        assert res.path == (Coord(0, 0), Coord(1, 1))
+        assert res.cost == SQRT2
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_border_cells_of_non_square_map(self, planner):
+        # 5 x 11 with a wall that forces the route along the bottom row.
+        occ = np.zeros((5, 11), dtype=np.uint8)
+        occ[:4, 5] = 1
+        corners = [Coord(0, 0), Coord(0, 10), Coord(4, 0), Coord(4, 10)]
+        for start in corners:
+            for goal in corners:
+                if start == goal:
+                    continue
+                inst = PlanInstance(GridMap.from_occupancy(occ), start, goal)
+                truth = distance_field(occ, start)[goal]
+                res = planner(inst)
+                assert abs(res.cost - truth) < 1e-9
+                assert_valid_path(occ, res.path, start, goal)
 
 
 class TestAgainstOracle:

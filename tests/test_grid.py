@@ -75,6 +75,33 @@ class TestPlanInstance:
         inst = PlanInstance(sample_grid(), (0, 0), (2, 3))
         assert isinstance(inst.start, Coord) and isinstance(inst.goal, Coord)
 
+    @pytest.mark.parametrize("start", [
+        (np.int64(0), np.int64(0)),
+        (np.int32(0), 0),
+        np.array([0, 0]),
+        np.argwhere(sample_grid().occupancy == 0)[0],
+    ], ids=["int64", "int32", "array", "argwhere"])
+    def test_numpy_integers_become_python_ints(self, start):
+        inst = PlanInstance(sample_grid(), start, (2, 3))
+        assert inst.start == Coord(0, 0)
+        assert all(type(v) is int for v in (*inst.start, *inst.goal))
+
+    @pytest.mark.parametrize("start", [
+        (1.5, 2),
+        (0.0, 0),
+        (True, 0),
+        (np.bool_(False), 0),
+        (np.float64(0), 0),
+        ("0", "0"),
+        (0, 0, 0),
+        5,
+        None,
+    ], ids=["float", "integral-float", "bool", "numpy-bool", "numpy-float", "str",
+            "triple", "scalar", "none"])
+    def test_non_integer_coordinates_rejected(self, start):
+        with pytest.raises(ValueError, match="start"):
+            PlanInstance(sample_grid(), start, (2, 3))
+
 
 class TestMapIO:
     def test_save_matches_format_example(self, tmp_path):
