@@ -18,6 +18,8 @@ directory for byte-equality checks.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -226,6 +228,24 @@ def _time_call(fn) -> float:
     return statistics.median(samples)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What the wall-clock figures of a run depend on, beyond the code.
+
+    CPUs this process may use, Python and numpy versions, and the BLAS
+    thread variables (null when unset).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:
+        nproc = os.cpu_count()
+    return {"nproc": nproc, "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+
+
 @dataclass(frozen=True)
 class BenchReport:
     instance_rows: list
@@ -238,7 +258,8 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
     """Run every method over the plan's instances and write report files.
 
     Writes results.csv (kind,size,method,metric,mean,std), instances.jsonl
-    (one record per instance and method), and table.txt. Per instance, every
+    (one record per instance and method), table.txt, and env.json (the
+    environment the timings come from; see environment). Per instance, every
     method's Exp and Rt use the same classical A* reference; the method named
     'astar' reuses the reference run outright, so its Exp and Rt are exactly
     zero. Method failures (unreachable goals) are recorded and excluded
@@ -250,6 +271,8 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
         raise ValueError(f"duplicate method names: {names}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    env = json.dumps(environment(), indent=1, sort_keys=True)
+    (out_dir / "env.json").write_text(env + "\n", encoding="ascii")
     trials = plan_trials(plan)
 
     def metric_pass(trial: Trial):
@@ -399,7 +422,8 @@ def deterministic_fingerprint(out_dir) -> bytes:
     """Non-timing content of a benchmark output directory, for byte equality.
 
     Covers results.csv minus Rt rows and instances.jsonl minus wall-clock
-    fields. table.txt is derived from the same data and is not re-checked.
+    fields. table.txt is derived from the same data and is not re-checked;
+    env.json describes the machine, not the results, and is not read.
     """
     out_dir = Path(out_dir)
     parts = []

@@ -13,16 +13,34 @@ expansion, the selected cell and the cells open at that step with their
 scores, which is all the selection backward needs. Without a tape that work
 is skipped.
 
-Per expansion the planners touch only Python ints, floats, bytes and
-bytearrays, never numpy scalars. The map is read from one table of free
-flags built per call with a one-cell obstacle ring around it, so a step off
-the map reads as blocked and needs no bounds test, and the flat index of a
-cell never wraps from the end of one row to the start of the next. The
-closed set is a bytearray. h and bias are read through memoryviews of
-their float64 arrays, which yield Python floats of the same float64 values:
-(g + h) + bias is then the same two float64 additions in the same order as
-in numpy, so every score, tie and trace is bit for bit what a numpy-scalar
-engine computes.
+The planners search in padded-index space. The map sits inside a one-cell
+obstacle ring, and cell (r, c) has index p = (r + 1) * (W + 2) + c + 1 of
+the (H + 2) x (W + 2) padded grid. A neighbour is p plus a fixed step; a
+step off the map lands on the ring, and no step wraps from one row's end to
+the next row's start, so no bounds test is needed. p rises with row-major
+order, so (score, h, p) breaks ties exactly as (score, h, flat index) does.
+
+Per expansion the engine touches only Python ints, floats and one
+bytearray, never numpy scalars:
+- one `blocked` table holds the obstacles, the ring and, as the search
+  goes, the closed cells, so each neighbour needs a single test;
+- g is a list pre-filled with inf, indexed by p;
+- h and bias are read through memoryviews of padded float64 copies, which
+  yield Python floats of the same float64 values. (g + h) + bias is then the
+  same two float64 additions in the same order as in numpy, so every score,
+  tie and trace is bit for bit what a numpy-scalar engine computes.
+h stays a precomputed matrix: octile per push, even written inline, costs
+several times a memoryview read, and more over a query than one
+octile_matrix call.
+
+The expansion order and the path are kept as padded ints and converted once
+at the end, vectorised, into Coords and the closed and path matrices. A
+tape records unpadded flat indices r * W + c, read from a lookup list.
+
+Jump point search scans in the same padded space. A scan asks only whether
+a cell has a forced neighbour, a yes/no written inline in the scan loop;
+the list of forced directions (_forced_dirs) is built only where
+successors need it.
 
 Planners return what they found, not how long it took: a caller that needs
 wall time (cli plan, bench) times the call, so that the clock covers the
@@ -34,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -88,36 +107,57 @@ def weighted_bias(h_matrix: np.ndarray, weight: float) -> np.ndarray:
     return (weight - 1.0) * h_matrix
 
 
-def _reconstruct(parent: dict[int, int], start_idx: int, goal_idx: int,
-                 width: int) -> list[Coord]:
-    chain = [goal_idx]
-    while chain[-1] != start_idx:
+def _padded(array: np.ndarray, fill, dtype) -> np.ndarray:
+    """array inside a one-cell ring of fill, flat in padded-index order."""
+    height, width = array.shape
+    out = np.full((height + 2, width + 2), fill, dtype=dtype)
+    out[1:-1, 1:-1] = array
+    return out.ravel()
+
+
+def _blocked_table(occupancy: np.ndarray) -> bytearray:
+    """Per padded index, 1 for an obstacle or ring cell and 0 for a free one."""
+    return bytearray(_padded(occupancy, 1, np.uint8))
+
+
+def _rows_cols(padded: list[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map rows and columns of padded indices, as int arrays."""
+    rows, cols = np.divmod(np.array(padded, dtype=np.intp), width + 2)
+    return rows - 1, cols - 1
+
+
+def _coords(rows: np.ndarray, cols: np.ndarray) -> tuple[Coord, ...]:
+    # tuple.__new__(Coord, pair) is what Coord(row, col) runs, without a
+    # Python-level call per cell.
+    return tuple(map(tuple.__new__, repeat(Coord), zip(rows.tolist(), cols.tolist())))
+
+
+def _backtrack(parent, start: int, goal: int) -> list[int]:
+    """The chain of parents from start to goal, start first."""
+    chain = [goal]
+    while chain[-1] != start:
         chain.append(parent[chain[-1]])
-    return [Coord(*divmod(i, width)) for i in reversed(chain)]
+    chain.reverse()
+    return chain
 
 
-def _free_table(occupancy: np.ndarray) -> bytes:
-    """Free flags (1 = free) of the map inside a one-cell obstacle ring.
-
-    Row-major over the padded (H + 2) x (W + 2) grid, so cell (r, c) sits
-    at (r + 1) * (W + 2) + c + 1, and a step off the map lands on the ring
-    and reads as blocked: no bounds test is needed.
-    """
-    return (np.pad(occupancy, 1, constant_values=1) == 0).tobytes()
-
-
-def _finish(shape, path, closed: bytearray, order, cost, jump_pops=None) -> SearchResult:
+def _result(shape, path: list[int], order: list[int], cost: float,
+            jump_pops: int | None = None) -> SearchResult:
+    """The SearchResult of a padded path and visit order, converted once."""
+    width = shape[1]
+    rows, cols = _rows_cols(order, width)
+    closed_matrix = np.zeros(shape, dtype=np.uint8)
+    closed_matrix[rows, cols] = 1
+    path_rows, path_cols = _rows_cols(path, width)
     path_matrix = np.zeros(shape, dtype=np.uint8)
-    for cell in path:
-        path_matrix[cell] = 1
-    closed_matrix = np.frombuffer(closed, dtype=np.uint8).reshape(shape)
+    path_matrix[path_rows, path_cols] = 1
     return SearchResult(
-        path=tuple(path),
+        path=_coords(path_rows, path_cols),
         path_matrix=path_matrix,
         closed_matrix=closed_matrix,
-        expansions=int(closed_matrix.sum()),
+        expansions=len(order),
         cost=cost,
-        expansion_order=tuple(order),
+        expansion_order=_coords(rows, cols),
         jump_pops=jump_pops,
     )
 
@@ -141,9 +181,10 @@ def dijkstra(instance: PlanInstance) -> SearchResult:
 class SelectionTape:
     """The open set at every expansion of one search, as flat lists.
 
-    Step t expanded flat index selected[t]; the cells open just before it,
-    the selected one included, are cells[starts[t]:starts[t + 1]] with their
-    scores (g + h) + bias at the same positions of scores.
+    Indices are unpadded flat indices r * W + c. Step t expanded
+    selected[t]; the cells open just before it, the selected one included,
+    are cells[starts[t]:starts[t + 1]] with their scores (g + h) + bias at
+    the same positions of scores.
     """
 
     def __init__(self):
@@ -169,93 +210,84 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     staleness check. With a tape, every expansion is recorded on it.
     """
     grid = instance.grid
-    height, width = grid.shape
-    free = _free_table(grid.occupancy)
-    # Per offset: the flat-index step, the padded-index step, the step cost.
-    # Cell idx in row r sits at idx + 2r + pad0 of the padded table.
-    pad0 = width + 3
-    steps = [(dr * width + dc, dr * (width + 2) + dc, cost)
-             for dr, dc, cost in NEIGHBOR_OFFSETS]
-    start_idx = instance.start.row * width + instance.start.col
-    goal_idx = instance.goal.row * width + instance.goal.col
+    width = grid.shape[1]
+    pw = width + 2
+    blocked = _blocked_table(grid.occupancy)
+    steps = [(dr * pw + dc, cost) for dr, dc, cost in NEIGHBOR_OFFSETS]
+    start = (instance.start.row + 1) * pw + instance.start.col + 1
+    goal = (instance.goal.row + 1) * pw + instance.goal.col + 1
 
-    # Indexing a memoryview gives Python floats with the same float64
-    # values, so every score rounds as it would in numpy.
-    h_flat = memoryview(np.ascontiguousarray(h_mat, dtype=np.float64).ravel())
-    bias_flat = memoryview(np.ascontiguousarray(bias, dtype=np.float64).ravel())
-    g: dict[int, float] = {start_idx: 0.0}
-    parent: dict[int, int] = {}
-    closed = bytearray(height * width)
-    order: list[Coord] = []
-    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
-    f0 = (0.0 + h_flat[start_idx]) + bias_flat[start_idx]
-    heap: list[tuple[float, float, int, float]] = [(f0, h_flat[start_idx], start_idx, 0.0)]
+    h_pad = memoryview(_padded(h_mat, 0.0, np.float64))
+    bias_pad = memoryview(_padded(bias, 0.0, np.float64))
+    g = [math.inf] * len(blocked)
+    g[start] = 0.0
+    parent = [0] * len(blocked)
+    order: list[int] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    f0 = (0.0 + h_pad[start]) + bias_pad[start]
+    heap: list[tuple[float, float, int, float]] = [(f0, h_pad[start], start, 0.0)]
     # Current score of every open cell, kept only when recording a tape.
-    open_scores = {start_idx: f0} if tape is not None else None
+    # It is keyed by flat index r * W + c, looked up per push and pop in
+    # flat_of: the tape's cells, summed over the open sets of all steps,
+    # far outnumber the pushes, so converting them at the end costs more.
+    if tape is not None:
+        flat_of = _padded(np.arange(grid.occupancy.size).reshape(grid.shape),
+                          -1, np.intp).tolist()
+        open_scores = {flat_of[start]: f0}
+    else:
+        open_scores = None
 
     while heap:
-        _, _, idx, g_pushed = heappop(heap)
-        if closed[idx] or g_pushed != g[idx]:
+        _, _, p, g_here = heappop(heap)
+        if blocked[p] or g_here != g[p]:
             continue
         if open_scores is not None:
+            idx = flat_of[p]
             tape.record(idx, open_scores)
             del open_scores[idx]
-        closed[idx] = 1
-        r, c = divmod(idx, width)
-        order.append(Coord(r, c))
-        if idx == goal_idx:
-            path = _reconstruct(parent, start_idx, goal_idx, width)
-            return _finish(grid.shape, path, closed, order, g[goal_idx])
-        g_here = g[idx]
-        pidx = idx + 2 * r + pad0
-        for doff, poff, step in steps:
-            if not free[pidx + poff]:
+        blocked[p] = 1
+        order.append(p)
+        if p == goal:
+            return _result(grid.shape, _backtrack(parent, start, goal), order, g_here)
+        for step, cost in steps:
+            q = p + step
+            if blocked[q]:
                 continue
-            nidx = idx + doff
-            if closed[nidx]:
-                continue
-            cand = g_here + step
-            if cand < g.get(nidx, inf):
-                g[nidx] = cand
-                parent[nidx] = idx
-                h = h_flat[nidx]
-                f = (cand + h) + bias_flat[nidx]
-                heappush(heap, (f, h, nidx, cand))
+            cand = g_here + cost
+            if cand < g[q]:
+                g[q] = cand
+                parent[q] = p
+                h = h_pad[q]
+                f = (cand + h) + bias_pad[q]
+                heappush(heap, (f, h, q, cand))
                 if open_scores is not None:
-                    open_scores[nidx] = f
+                    open_scores[flat_of[q]] = f
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"
     )
 
 
-def _forced_dirs(free: bytes, pw: int, r: int, c: int, dr: int, dc: int):
-    """Forced-neighbor directions at (r, c) when travelling along (dr, dc).
+def _guards(pw: int, dr: int, dc: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two (wall, turn) step pairs of travel along (dr, dc).
 
-    free is the padded table of _free_table and pw its row width, W + 2.
+    pw is the padded row width, W + 2. Travelling through padded index p,
+    turn is a forced direction when p + wall is blocked and p + turn is
+    free: a straight move has a wall on either side with the diagonal ahead
+    of it, a diagonal move a wall behind either of its straight components.
     """
-    p = (r + 1) * pw + c + 1
-    forced = []
     if dr == 0:
-        # Horizontal travel: a blocked cell beside the path with a free
-        # diagonal ahead of it forces a turn.
-        for side in (-1, 1):
-            q = p + side * pw
-            if not free[q] and free[q + dc]:
-                forced.append((side, dc))
-    elif dc == 0:
-        for side in (-1, 1):
-            if not free[p + side] and free[p + dr * pw + side]:
-                forced.append((dr, side))
-    else:
-        # Diagonal travel: a blocked cell behind either natural straight
-        # neighbor forces the corresponding counter-diagonal.
-        q = p - dr * pw
-        if not free[q] and free[q + dc]:
-            forced.append((-dr, dc))
-        if not free[p - dc] and free[p + dr * pw - dc]:
-            forced.append((dr, -dc))
-    return forced
+        return (-pw, dc - pw), (pw, dc + pw)
+    if dc == 0:
+        step = dr * pw
+        return (-1, step - 1), (1, step + 1)
+    vr = dr * pw
+    return (-vr, dc - vr), (-dc, vr - dc)
+
+
+def _forced_dirs(blocked: bytearray, p: int, guards) -> list[int]:
+    """Forced directions, as padded steps, at p for one travel's guards."""
+    return [turn for wall, turn in guards if blocked[p + wall] and not blocked[p + turn]]
 
 
 def jps(instance: PlanInstance) -> SearchResult:
@@ -266,105 +298,98 @@ def jps(instance: PlanInstance) -> SearchResult:
     only the heap pops.
     """
     grid = instance.grid
-    height, width = grid.shape
-    free = _free_table(grid.occupancy)
+    width = grid.shape[1]
     pw = width + 2
-    start, goal = instance.start, instance.goal
-    start_t, goal_t = (start.row, start.col), (goal.row, goal.col)
+    blocked = _blocked_table(grid.occupancy)
+    start = (instance.start.row + 1) * pw + instance.start.col + 1
+    goal = (instance.goal.row + 1) * pw + instance.goal.col + 1
+    goal_rc = divmod(goal, pw)
 
-    visited = bytearray(height * width)
-    order: list[Coord] = []
+    visited = bytearray(len(blocked))
+    order: list[int] = []
+    # Per travel step, in NEIGHBOR_OFFSETS order: its guards and, for a
+    # diagonal, the straight scans (vertical first) that run from each cell.
+    scans = {dr * pw + dc: (*_guards(pw, dr, dc), (dr * pw, dc) if dr and dc else ())
+             for dr, dc, _ in NEIGHBOR_OFFSETS}
 
-    def touch(r, c):
-        idx = r * width + c
-        if not visited[idx]:
-            visited[idx] = 1
-            order.append(Coord(r, c))
-
-    def jump_straight(r, c, dr, dc):
+    def jump(p, step):
+        (wall_a, turn_a), (wall_b, turn_b), branches = scans[step]
         while True:
-            r, c = r + dr, c + dc
-            if not free[(r + 1) * pw + c + 1]:
+            p += step
+            if blocked[p]:
                 return None
-            touch(r, c)
-            if (r, c) == goal_t or _forced_dirs(free, pw, r, c, dr, dc):
-                return (r, c)
+            if not visited[p]:
+                visited[p] = 1
+                order.append(p)
+            if (p == goal or (blocked[p + wall_a] and not blocked[p + turn_a])
+                    or (blocked[p + wall_b] and not blocked[p + turn_b])):
+                return p
+            for branch in branches:
+                if jump(p, branch) is not None:
+                    return p
 
-    def jump_diag(r, c, dr, dc):
-        while True:
-            r, c = r + dr, c + dc
-            if not free[(r + 1) * pw + c + 1]:
-                return None
-            touch(r, c)
-            if (r, c) == goal_t or _forced_dirs(free, pw, r, c, dr, dc):
-                return (r, c)
-            if jump_straight(r, c, dr, 0) is not None or jump_straight(r, c, 0, dc) is not None:
-                return (r, c)
-
-    def successors(r, c, parent_cell):
-        if parent_cell is None:
-            dirs = [(dr, dc) for dr, dc, _ in NEIGHBOR_OFFSETS]
+    def successors(p, parent_p):
+        if parent_p is None:
+            dirs = list(scans)
         else:
-            pr, pc = parent_cell
-            dr = int(r > pr) - int(r < pr)
-            dc = int(c > pc) - int(c < pc)
-            if dr != 0 and dc != 0:
-                dirs = [(dr, dc), (dr, 0), (0, dc)]
-            else:
-                dirs = [(dr, dc)]
-            dirs += _forced_dirs(free, pw, r, c, dr, dc)
+            (pr, pc), (r, c) = divmod(parent_p, pw), divmod(p, pw)
+            dr = (r > pr) - (r < pr)
+            dc = (c > pc) - (c < pc)
+            step = dr * pw + dc
+            dirs = [step, dr * pw, dc] if dr and dc else [step]
+            dirs += _forced_dirs(blocked, p, scans[step][:2])
         out = []
-        for dr, dc in dirs:
-            jp = jump_diag(r, c, dr, dc) if dr and dc else jump_straight(r, c, dr, dc)
+        for step in dirs:
+            jp = jump(p, step)
             if jp is not None:
                 out.append(jp)
         return out
 
-    g = {start_t: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    expanded: set[tuple[int, int]] = set()
-    h0 = octile(start_t, goal_t)
-    heap = [(h0, h0, start.row * width + start.col, start_t, 0.0)]
+    g = {start: 0.0}
+    parent: dict[int, int] = {}
+    expanded = bytearray(len(blocked))
+    h0 = octile(divmod(start, pw), goal_rc)
+    heap = [(h0, h0, start, 0.0)]
     pops = 0
 
     while heap:
-        _, _, _, cell, g_pushed = heapq.heappop(heap)
-        if cell in expanded or g_pushed != g[cell]:
+        _, _, p, g_here = heapq.heappop(heap)
+        if expanded[p] or g_here != g[p]:
             continue
-        expanded.add(cell)
+        expanded[p] = 1
         pops += 1
-        touch(*cell)
-        if cell == goal_t:
-            chain = [cell]
-            while chain[-1] != start_t:
-                chain.append(parent[chain[-1]])
-            chain.reverse()
-            path = _interpolate(chain)
-            return _finish(grid.shape, path, visited, order, g[cell], jump_pops=pops)
-        g_cell = g[cell]
-        for jp in successors(cell[0], cell[1], parent.get(cell)):
-            if jp in expanded:
+        if not visited[p]:
+            visited[p] = 1
+            order.append(p)
+        if p == goal:
+            chain = _backtrack(parent, start, goal)
+            return _result(grid.shape, _interpolate(chain, pw), order, g_here,
+                           jump_pops=pops)
+        here = divmod(p, pw)
+        for jp in successors(p, parent.get(p)):
+            if expanded[jp]:
                 continue
-            cand = g_cell + octile(cell, jp)
+            jp_rc = divmod(jp, pw)
+            cand = g_here + octile(here, jp_rc)
             if cand < g.get(jp, math.inf):
                 g[jp] = cand
-                parent[jp] = cell
-                h = octile(jp, goal_t)
-                heapq.heappush(heap, (cand + h, h, jp[0] * width + jp[1], jp, cand))
+                parent[jp] = p
+                h = octile(jp_rc, goal_rc)
+                heapq.heappush(heap, (cand + h, h, jp, cand))
 
     raise UnreachableGoalError(
-        f"goal {tuple(goal)} unreachable from start {tuple(start)}"
+        f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"
     )
 
 
-def _interpolate(chain: list[tuple[int, int]]) -> list[Coord]:
-    """Expand a jump-point chain into a full cell path with unit king moves."""
-    path = [Coord(*chain[0])]
-    for (r0, c0), (r1, c1) in zip(chain[:-1], chain[1:]):
-        dr = int(r1 > r0) - int(r1 < r0)
-        dc = int(c1 > c0) - int(c1 < c0)
-        r, c = r0, c0
-        while (r, c) != (r1, c1):
-            r, c = r + dr, c + dc
-            path.append(Coord(r, c))
+def _interpolate(chain: list[int], pw: int) -> list[int]:
+    """Expand a padded jump-point chain into every cell, with unit king moves.
+
+    Consecutive jump points lie on one straight or diagonal line.
+    """
+    path = [chain[0]]
+    for a, b in zip(chain, chain[1:]):
+        (ra, ca), (rb, cb) = divmod(a, pw), divmod(b, pw)
+        step = ((rb > ra) - (rb < ra)) * pw + (cb > ca) - (cb < ca)
+        path.extend(range(a + step, b + step, step))
     return path

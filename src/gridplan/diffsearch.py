@@ -8,7 +8,9 @@ reported paths and costs are exact. When the bias carries a gradient the
 engine records a tape of the open set at every expansion, and
 autodiff.selection_sum turns it into the sum of the one-hot selections,
 the closed set, whose backward is the soft temperature weighting over each
-step's open cells. The closed set is the only output that carries a
+step's open cells. The tape holds unpadded flat indices r * W + c, which
+index the bias's flattened data directly; the engine's padded indices never
+leave classical. The closed set is the only output that carries a
 gradient: the backtracked path is a constant, as in the losses that read it.
 
 The score is (S + H) + (bias - min bias) in float64 with ties broken by

@@ -247,3 +247,28 @@ def dense_selection_grad(steps, upstream: np.ndarray, tau: float) -> np.ndarray:
         q = raw / raw.sum()
         grad -= q * (upstream - (q * upstream).sum()) / tau
     return grad
+
+
+def forced_dirs_reference(occupancy: np.ndarray, r: int, c: int, dr: int, dc: int) -> list:
+    """Jump point search's forced-neighbour directions at (r, c) under (dr, dc) travel.
+
+    Harabor and Grastien's rule for king moves that may cut obstacle
+    corners: travelling straight, a blocked side cell with a free diagonal
+    ahead of it forces that diagonal; travelling diagonally, a blocked cell
+    behind either straight component forces the counter-diagonal. Cells off
+    the map count as blocked. Directions come as (dr, dc) pairs, the side
+    toward -1 (or the row component) first.
+    """
+    h, w = occupancy.shape
+
+    def blocked(i, j):
+        return not (0 <= i < h and 0 <= j < w) or occupancy[i, j] != 0
+
+    if dr == 0:
+        pairs = [((side, 0), (side, dc)) for side in (-1, 1)]
+    elif dc == 0:
+        pairs = [((0, side), (dr, side)) for side in (-1, 1)]
+    else:
+        pairs = [((-dr, 0), (-dr, dc)), ((0, -dc), (dr, -dc))]
+    return [turn for (wr, wc), turn in pairs
+            if blocked(r + wr, c + wc) and not blocked(r + turn[0], c + turn[1])]

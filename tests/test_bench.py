@@ -1,5 +1,6 @@
 """Tests for benchmark metrics, the plan parser, methods, and the harness."""
 
+import hashlib
 import json
 import math
 
@@ -332,6 +333,20 @@ class TestDeterminism:
         run_benchmark(small_plan(trials=2, seed=2), ("astar",), tmp_path / "b")
         assert deterministic_fingerprint(tmp_path / "a") != \
             deterministic_fingerprint(tmp_path / "b")
+
+    def test_env_json_written_and_outside_the_fingerprint(self, tmp_path):
+        plan = TrialPlan(kinds=("random-blocks", "maze"), sizes=(16,), trials=2, seed=11)
+        run_benchmark(plan, METHODS, tmp_path)
+        env = json.loads((tmp_path / "env.json").read_text(encoding="ascii"))
+        assert env["nproc"] >= 1
+        assert env["python"] and env["numpy"] == np.__version__
+        assert sorted(env["blas_thread_env"]) == sorted(bench.BLAS_THREAD_VARS)
+        # The digest of this seeded run's fingerprint, from before env.json
+        # existed: planners and harness still produce the same content.
+        want = "c594b988dd8cc1bf52d28f73984ac1c7f1fd5f1e98883fb8c385efb86b357373"
+        assert hashlib.sha256(deterministic_fingerprint(tmp_path)).hexdigest() == want
+        (tmp_path / "env.json").write_text("{}", encoding="ascii")
+        assert hashlib.sha256(deterministic_fingerprint(tmp_path)).hexdigest() == want
 
 
 class TestBehaviors:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from gridplan import diffsearch
 from gridplan.classical import (
+    NEIGHBOR_OFFSETS,
     SQRT2,
+    SelectionTape,
+    _biased_search,
+    _blocked_table,
+    _forced_dirs,
+    _guards,
     astar,
     dijkstra,
     jps,
@@ -18,7 +24,16 @@ from gridplan.classical import (
 from gridplan.errors import UnreachableGoalError
 from gridplan.grid import Coord, GridMap, PlanInstance, generate_map
 
-from .helpers import assert_valid_path, distance_field, flood_fill, make_instances
+from .helpers import (
+    assert_valid_path,
+    dense_search,
+    distance_field,
+    flood_fill,
+    forced_dirs_reference,
+    make_instances,
+)
+from .test_golden import CASES as GOLDEN_CASES
+from .test_golden import _case_seed
 
 PLANNERS = [dijkstra, astar, jps]
 
@@ -271,3 +286,109 @@ class TestRandomizedProperties:
             res = planner(inst)
             assert abs(res.cost - truth) < 1e-9
             assert_valid_path(inst.grid.occupancy, res.path, inst.start, inst.goal)
+
+
+class TestForcedNeighbours:
+    """The scans' yes/no forced-neighbour test and _forced_dirs, on every
+    free cell (border cells included) of the golden maps, in all 8 travel
+    directions, against the independent reference."""
+
+    @pytest.mark.parametrize("kind,h,w", GOLDEN_CASES,
+                             ids=[f"{k}-{h}x{w}" for k, h, w in GOLDEN_CASES])
+    def test_every_free_cell_and_direction(self, kind, h, w):
+        occ = generate_map(kind, w, h, seed=_case_seed(kind, h, w)).occupancy
+        blocked = _blocked_table(occ)
+        pw = w + 2
+        free = np.argwhere(occ == 0).tolist()
+        for dr, dc, _ in NEIGHBOR_OFFSETS:
+            guards = _guards(pw, dr, dc)
+            (wall_a, turn_a), (wall_b, turn_b) = guards
+            for r, c in free:
+                p = (r + 1) * pw + c + 1
+                want = forced_dirs_reference(occ, r, c, dr, dc)
+                # The test jps's scans write inline.
+                scan_says = bool((blocked[p + wall_a] and not blocked[p + turn_a])
+                                 or (blocked[p + wall_b] and not blocked[p + turn_b]))
+                listed = _forced_dirs(blocked, p, guards)
+                assert scan_says == bool(listed) == bool(want), (r, c, dr, dc)
+                assert listed == [tr * pw + tc for tr, tc in want], (r, c, dr, dc)
+
+
+@st.composite
+def edge_shape_cases(draw):
+    """A 2xN, Nx2, 2x2 or odd non-square map, obstacles often on its border,
+    with a start and goal and a random bias field (sometimes with ties).
+
+    2xN and Nx2 are the thinnest maps GridMap accepts; it refuses 1xN.
+    """
+    h, w = draw(st.one_of(
+        st.tuples(st.just(2), st.integers(3, 12)),
+        st.tuples(st.integers(3, 12), st.just(2)),
+        st.just((2, 2)),
+        st.tuples(st.sampled_from((3, 5, 7, 9)), st.sampled_from((3, 5, 7, 9)))
+        .filter(lambda shape: shape[0] != shape[1]),
+    ))
+    occ = np.array(draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w)),
+                   dtype=np.uint8).reshape(h, w)
+    wall = draw(st.sampled_from(("none", "top", "bottom", "left", "right")))
+    if wall != "none":
+        occ[{"top": (0, slice(None)), "bottom": (-1, slice(None)),
+             "left": (slice(None), 0), "right": (slice(None), -1)}[wall]] = 1
+    free = np.argwhere(occ == 0)
+    if len(free) < 2:
+        occ[0, 0] = occ[h - 1, w - 1] = 0
+        free = np.argwhere(occ == 0)
+    i = draw(st.integers(0, len(free) - 1))
+    j = draw(st.integers(0, len(free) - 2))
+    j += j >= i
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bias = rng.uniform(-1.0, 3.0, size=(h, w))
+    if draw(st.booleans()):
+        bias = np.round(bias * 2.0) / 2.0
+    inst = PlanInstance(GridMap.from_occupancy(occ), Coord(*free[i]), Coord(*free[j]))
+    return inst, bias
+
+
+class TestEngineOnEdgeShapes:
+    @given(edge_shape_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_engine_matches_dense_oracle(self, case):
+        inst, bias = case
+        occ = inst.grid.occupancy
+        h_mat = octile_matrix(occ.shape, inst.goal)
+        shifted = bias - bias.min()
+        planners = (astar, lambda i: astar(i, weight=2.0), dijkstra, jps)
+        if not flood_fill(occ, inst.start)[inst.goal]:
+            for planner in (*planners, lambda i: _biased_search(i, h_mat, shifted)):
+                with pytest.raises(UnreachableGoalError):
+                    planner(inst)
+            return
+
+        tape = SelectionTape()
+        res = _biased_search(inst, h_mat, shifted, tape)
+        ref = dense_search(occ, inst.start, inst.goal, bias)
+        assert [tuple(c) for c in res.expansion_order] == ref["order"]
+        assert [tuple(c) for c in res.path] == ref["path"]
+        assert repr(res.cost) == repr(ref["cost"])
+        want_closed = np.zeros(occ.shape, dtype=np.uint8)
+        for cell in ref["order"]:
+            want_closed[cell] = 1
+        assert res.closed_matrix.dtype == np.uint8
+        assert np.array_equal(res.closed_matrix, want_closed)
+
+        width = occ.shape[1]
+        assert tape.selected == [r * width + c for r, c in ref["order"]]
+        assert tape.starts[0] == 0 and len(tape.starts) == len(ref["steps"]) + 1
+        assert all(type(i) is int for i in tape.selected + tape.cells)
+        for t, (open_mask, score, _) in enumerate(ref["steps"]):
+            lo, hi = tape.starts[t], tape.starts[t + 1]
+            cells = tape.cells[lo:hi]
+            assert sorted(cells) == np.flatnonzero(open_mask).tolist()
+            assert (np.asarray(tape.scores[lo:hi], dtype=np.float64).tobytes()
+                    == score.ravel()[cells].tobytes())
+
+        for planner in planners:
+            found = planner(inst)
+            assert found.expansions == len(found.expansion_order) \
+                == int(found.closed_matrix.sum())
+        assert abs(jps(inst).cost - dijkstra(inst).cost) < 1e-9
