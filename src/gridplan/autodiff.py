@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 numpy arrays.
 
-Exactly the operations a gradient crosses in the instance encoder, the
-losses and the differentiable search, nothing more; constants are built in
-numpy and enter as leaf Tensors. The search enters the graph
-through one fused op, selection_sum, which turns the tape of a heap search
-into the sum of its one-hot selections. Shapes must match exactly for
+Exactly the operations a gradient crosses, nothing more: conv2d, relu,
+maxpool2, upsample2, concat_channels, sigmoid, scale, crop2d and reshape in
+the instance encoder; add, scale and inner in the losses; and selection_sum,
+the one fused op through which the search enters the graph, turning the
+tape of a heap search into the sum of its one-hot selections. Constants are
+built in numpy and enter as leaf Tensors. Shapes must match exactly for
 binary ops; nothing broadcasts. Backward walks an explicit topological
 order, so graph depth never hits the interpreter recursion limit.
 
@@ -110,14 +111,10 @@ def _record(data, parents, backward) -> Tensor:
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
-def _binary_shapes(a: Tensor, b: Tensor):
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} do not match")
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} do not match")
     out_data = a.data + b.data
 
     def backward(g):
@@ -127,29 +124,6 @@ def add(a, b) -> Tensor:
             b._accumulate(g)
 
     return _record(out_data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _record(out_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(-g)
-
-    return _record(-a.data, (a,), backward)
 
 
 def scale(a, s: float) -> Tensor:
@@ -166,8 +140,8 @@ def scale(a, s: float) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))
@@ -181,16 +155,6 @@ def relu(a) -> Tensor:
 
     def backward(g):
         a._accumulate(g * (a.data > 0))
-
-    return _record(out_data, (a,), backward)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.asarray(a.data.sum())
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, float(g)))
 
     return _record(out_data, (a,), backward)
 

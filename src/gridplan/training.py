@@ -204,11 +204,18 @@ def imperative_loss(result: DiffSearchResult, w_a: float, w_l: float) -> Tensor:
 
 def supervised_loss(result: DiffSearchResult, optimal_path_matrix: np.ndarray) -> Tensor:
     """Label-matching baseline: mean absolute difference between the visited
-    matrix and the optimal path matrix."""
-    label = Tensor(np.asarray(optimal_path_matrix, dtype=np.float64))
-    diff = ad.sub(result.closed, label)
-    total = ad.sum_all(ad.add(ad.relu(diff), ad.relu(ad.neg(diff))))
-    return ad.scale(total, 1.0 / label.data.size)
+    matrix and the optimal path matrix, mean|closed - label|.
+
+    With the constant sign mask s = sign(closed - label) / n, taken from the
+    forward values, |x| = sign(x) * x makes the loss <closed, s> - <label, s>:
+    one inner product, whose gradient on closed is s. s is 0 wherever closed
+    equals the label, the convention at the kink of |x|, so a cell that is
+    both closed and on the label gets no upstream gradient. ROADMAP item 3
+    (a baseline that does not learn) would change this mask or the label.
+    """
+    label = np.asarray(optimal_path_matrix, dtype=np.float64)
+    mask = np.sign(result.closed.data - label) / label.size
+    return ad.add(ad.inner(result.closed, Tensor(mask)), -np.vdot(label, mask))
 
 
 def validate(instances, model: EncoderModel | None = None,
@@ -290,7 +297,7 @@ def train(train_instances, val_instances, config: TrainConfig,
     stats: list[EpochStats] = []
     averaged = _snapshot(model)
     steps = 0
-    last_good = _snapshot(model)
+    last_good = _model_from_snapshot(model.arch, averaged)
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -310,7 +317,7 @@ def train(train_instances, val_instances, config: TrainConfig,
                 if not np.isfinite(loss.data):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}",
-                        model=_model_from_snapshot(model.arch, last_good),
+                        model=last_good,
                         log=stats,
                     )
                 loss.backward()
@@ -330,12 +337,12 @@ def train(train_instances, val_instances, config: TrainConfig,
             for key, p in model.params.items():
                 averaged[key] += rate * (p.data - averaged[key])
         model.zero_grads()
-        averaged_model = _model_from_snapshot(model.arch, averaged)
+        last_good = _model_from_snapshot(model.arch, averaged)
 
         mean_area = float(np.mean(areas))
         mean_length = float(np.mean(lengths))
         if val_instances:
-            vstats = validate(val_instances, model=averaged_model,
+            vstats = validate(val_instances, model=last_good,
                               reference_areas=val_refs)
             val_al, val_exp = vstats.mean_al, vstats.mean_exp
         else:
@@ -350,10 +357,9 @@ def train(train_instances, val_instances, config: TrainConfig,
             wall_s=time.perf_counter() - t0,
         )
         stats.append(entry)
-        last_good = _snapshot(averaged_model)
         if progress is not None:
             progress(entry)
-    return _model_from_snapshot(model.arch, averaged), stats
+    return last_good, stats
 
 
 LOG_COLUMNS = ("epoch", "mean_area", "mean_length", "mean_total",

@@ -42,19 +42,6 @@ def case_add(rng):
     check_gradients(lambda x, y: probe(ad.add(x, y)), [a, b])
 
 
-def case_sub(rng):
-    probe = _Probe(rng)
-    shape = _shape(rng)
-    a, b = rng.normal(size=shape), rng.normal(size=shape)
-    check_gradients(lambda x, y: probe(ad.sub(x, y)), [a, b])
-
-
-def case_neg(rng):
-    probe = _Probe(rng)
-    a = rng.normal(size=_shape(rng))
-    check_gradients(lambda x: probe(ad.neg(x)), [a])
-
-
 def case_scale(rng):
     probe = _Probe(rng)
     a = rng.normal(size=_shape(rng))
@@ -74,11 +61,6 @@ def case_relu(rng):
     shape = (4, 5)
     a = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
     check_gradients(lambda x: probe(ad.relu(x)), [a])
-
-
-def case_sum(rng):
-    a = rng.normal(size=_shape(rng))
-    check_gradients(lambda x: ad.sum_all(x), [a])
 
 
 def case_inner(rng):
@@ -215,12 +197,9 @@ def case_selection_sum(rng):
 
 OP_CASES = {
     "add": case_add,
-    "sub": case_sub,
-    "neg": case_neg,
     "scale": case_scale,
     "sigmoid": case_sigmoid,
     "relu": case_relu,
-    "sum": case_sum,
     "inner": case_inner,
     "conv2d": case_conv2d,
     "maxpool2": case_maxpool2,

@@ -27,8 +27,16 @@ class TestForwardExamples:
         y.backward()
         assert x.grad == pytest.approx(0.25)
 
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        with np.errstate(over="raise"):
+            y = ad.sigmoid(ad.Tensor(x)).data
+        assert np.all(np.isfinite(y)) and np.all((y >= 0.0) & (y <= 1.0))
+        assert y[0] == 0.0 and y[2] == 0.5 and y[-1] == 1.0
+
     def test_sum_of_ones(self):
-        assert float(ad.sum_all(ad.Tensor(np.ones((3, 3)))).data) == 9.0
+        ones = ad.Tensor(np.ones((3, 3)))
+        assert float(ad.inner(ones, ones).data) == 9.0
 
     def test_inner_example(self):
         a = ad.Tensor(np.array([1.0, 0.0, 2.0]), requires_grad=True)
@@ -42,7 +50,7 @@ class TestForwardExamples:
         x = ad.Tensor(np.array([-2.0, 0.0, 3.0]), requires_grad=True)
         y = ad.relu(x)
         assert np.array_equal(y.data, [0.0, 0.0, 3.0])
-        ad.sum_all(y).backward()
+        ad.inner(y, ad.Tensor(np.ones(3))).backward()
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
@@ -90,12 +98,12 @@ class TestResample:
         x = ad.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]), requires_grad=True)
         y = ad.maxpool2(x)
         assert y.data.reshape(()) == 4.0
-        ad.sum_all(y).backward()
+        ad.inner(y, ad.Tensor(np.ones((1, 1, 1)))).backward()
         assert np.array_equal(x.grad[0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_maxpool_tie_takes_first_index(self):
         x = ad.Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
-        ad.sum_all(ad.maxpool2(x)).backward()
+        ad.inner(ad.maxpool2(x), ad.Tensor(np.ones((1, 1, 1)))).backward()
         assert np.array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_maxpool_rejects_odd(self):
@@ -153,7 +161,7 @@ class TestSelectionSum:
 class TestGraphMechanics:
     def test_accumulation_through_duplicate_use(self):
         x = ad.Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        out = ad.add(ad.inner(x, x), ad.sum_all(x))  # sum(x^2 + x)
+        out = ad.add(ad.inner(x, x), ad.inner(x, ad.Tensor(np.ones(2))))  # sum(x^2 + x)
         out.backward()
         assert np.array_equal(x.grad, [5.0, 7.0])  # 2x + 1
 
@@ -180,15 +188,14 @@ class TestGraphMechanics:
 
     def test_shape_mismatch_rejected(self):
         a, b = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))
-        for op in (ad.add, ad.sub, ad.inner):
+        for op in (ad.add, ad.inner):
             with pytest.raises(ShapeMismatchError):
                 op(a, b)
 
     def test_scalar_operand_not_broadcast(self):
         a, s = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.array(2.0))
-        for op in (ad.add, ad.sub):
-            with pytest.raises(ShapeMismatchError):
-                op(a, s)
+        with pytest.raises(ShapeMismatchError):
+            ad.add(a, s)
 
     def test_forward_determinism(self):
         def run():

@@ -9,7 +9,7 @@ import pytest
 
 from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
-from gridplan.classical import astar, octile_matrix
+from gridplan.classical import astar, dijkstra, octile_matrix
 from gridplan import training
 from gridplan.diffsearch import search
 from gridplan.encoder import Arch, init_model, predict_bias
@@ -108,12 +108,25 @@ class TestSupervisedLoss:
         assert got == pytest.approx(np.abs(closed - label).mean(), abs=1e-12)
 
     def test_gradient_is_sign_over_size(self):
-        closed = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]), requires_grad=True)
         label = np.array([[1.0, 0.0], [1.0, 0.0]])
-        supervised_loss(SimpleNamespace(closed=closed), label).backward()
-        # d mean|c - l| / dc = sign(c - l) / n; zero where equal (relu kink
-        # convention gives 0 there).
-        assert np.allclose(closed.grad, np.array([[0.0, 0.25], [-0.25, 0.0]]))
+        inst = make_instances(1, size=16, seed=37)[0]
+        leaf = Tensor(np.random.default_rng(3).uniform(0.0, 4.0, size=inst.grid.shape),
+                      requires_grad=True)
+        cases = [
+            (SimpleNamespace(closed=Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]),
+                                           requires_grad=True)), label),
+            # not a 0/1 visit matrix: the mask form still takes the sign
+            (SimpleNamespace(closed=Tensor(np.array([[1.0, 2.5], [-0.5, 0.0]]),
+                                           requires_grad=True)), label),
+            (search(inst, bias=leaf), dijkstra(inst).path_matrix),
+        ]
+        for result, label in cases:
+            supervised_loss(result, label).backward()
+            # d mean|c - l| / dc = sign(c - l) / n, and zero where equal (the
+            # convention at the kink of |x|).
+            want = np.sign(result.closed.data - label) / label.size
+            assert np.array_equal(result.closed.grad, want)
+        assert (result.closed.grad > 0).any() and (result.closed.grad == 0).any()
 
 
 class TestTrainConfig:
