@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import CHECKPOINT_MAGIC
-from .bench import MAP_KINDS, TrialPlan, load_plan, planner, run_benchmark
+from .bench import MAP_KINDS, TrialPlan, environment, load_plan, planner, run_benchmark
 from .encoder import Arch, save_model
 from .errors import DivergenceError, GridplanError
 from .grid import (MAP_FORMAT_VERSION, Coord, PlanInstance, generate_map,
@@ -191,6 +191,8 @@ def cmd_plan(args) -> int:
         payload["closed"] = [[r, c] for r, c in result.expansion_order]
 
     if args.fmt == "json":
+        # elapsed_s depends on the machine as much as on the code.
+        payload["env"] = environment()
         print(json.dumps(payload))
         return 0
     print(f"cost={result.cost!r}")

@@ -4,8 +4,16 @@ A small U-Net-style network: a contracting stack of 3x3 conv + relu +
 2x2 maxpool levels, a bottleneck conv, then an expanding stack of nearest
 upsample + skip concatenation + conv levels, finished by a 1x1 head whose
 sigmoid output is scaled to [0, out_scale]. Fully convolutional, so any map
-size works: inputs are zero-padded to the next multiple of 2^depth and the
-output cropped back.
+size works.
+
+The network runs on a coarse grid about COARSE_SIDE cells a side. The pool
+factor s is the largest power of two with min(H, W) // s >= COARSE_SIDE:
+1 below 64, 2 at 64, 4 at 128, 8 at 256. The input is zero-padded to a
+multiple of s * 2^depth and block-reduced by s (mean for the obstacle and
+goal-distance channels, max for the one-hot start and goal planes); the
+output is upsampled back by nearest neighbour and cropped to the map. So
+the forward costs about the same on every map of 64 cells a side or more,
+and maps under 64 run at full resolution, s = 1.
 
 The input is a 3-channel array: obstacle mask, one-hot start, one-hot goal.
 The network appends a fourth channel itself, the octile distance to the goal
@@ -34,7 +42,11 @@ from .errors import (
 )
 from .grid import Coord, PlanInstance
 
-ARCH_FORMAT_VERSION = "arch v1"
+ARCH_FORMAT_VERSION = "arch v2"
+# v1 ran the network at full resolution on every map; on maps of 64 cells a
+# side and more its weights meant something else, so v1 sidecars are refused.
+RETIRED_ARCH_FORMAT = "arch v1"
+COARSE_SIDE = 32
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,10 @@ class Arch:
     @classmethod
     def from_sidecar_line(cls, line: str) -> "Arch":
         head, _, rest = line.strip().partition(":")
+        if head.strip() == RETIRED_ARCH_FORMAT:
+            raise ArchMismatchError(
+                f"arch sidecar is {RETIRED_ARCH_FORMAT!r}, which ran the network at full "
+                f"resolution; this build reads {ARCH_FORMAT_VERSION!r} only")
         if head.strip() != ARCH_FORMAT_VERSION:
             raise CorruptCheckpointError(f"bad arch sidecar header {line!r}")
         try:
@@ -148,13 +164,22 @@ def forward(model: EncoderModel, x, record_graph: bool = False) -> Tensor:
         return _forward(model, x)
 
 
+def pool_factor(height: int, width: int) -> int:
+    """Largest power of two s with min(height, width) // s >= COARSE_SIDE, or 1."""
+    s = 1
+    while min(height, width) // (2 * s) >= COARSE_SIDE:
+        s *= 2
+    return s
+
+
 def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
     """Encoder graph on a (3,H,W) array.
 
-    The input carries no gradient, so the goal-distance channel and the
-    zero padding to a multiple of 2^depth are built in numpy and enter the
-    graph as one constant Tensor. The crop and reshape of the output stay
-    graph ops because the gradient crosses them.
+    The input carries no gradient, so the goal-distance channel, the zero
+    padding to a multiple of s * 2^depth and the block reduction by the pool
+    factor s are built in numpy and enter the graph as one constant Tensor.
+    The upsampling, crop and reshape of the output stay graph ops because
+    the gradient crosses them.
     """
     arch = model.arch
     p = model.params
@@ -167,10 +192,16 @@ def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
         raise DimensionUnderflowError(
             f"map {height}x{width} smaller than the receptive contract {unit}x{unit}"
         )
-    pad_r = (-height) % unit
-    pad_c = (-width) % unit
+    s = pool_factor(height, width)
+    pad_r = (-height) % (s * unit)
+    pad_c = (-width) % (s * unit)
     x = np.concatenate([x, goal_distance_channel(x[2])])
-    x = Tensor(np.pad(x, ((0, 0), (0, pad_r), (0, pad_c))))
+    x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
+    if s > 1:
+        blocks = x.reshape(4, x.shape[1] // s, s, x.shape[2] // s, s)
+        x = blocks.mean(axis=(2, 4))
+        x[1:3] = blocks[1:3].max(axis=(2, 4))
+    x = Tensor(x)
 
     skips = []
     for level in range(arch.depth):
@@ -183,6 +214,9 @@ def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
         x = ad.relu(ad.conv2d(x, p[f"dec{level}.w"], bias=p[f"dec{level}.b"]))
     x = ad.conv2d(x, p["head.w"], bias=p["head.b"])
     x = ad.scale(ad.sigmoid(x), arch.out_scale)
+    while s > 1:
+        x = ad.upsample2(x)
+        s //= 2
     if pad_r or pad_c:
         x = ad.crop2d(x, height, width)
     return ad.reshape(x, (height, width))

@@ -122,10 +122,21 @@ def case_crop2d(rng):
 
 
 def case_encoder_probe(rng):
-    """Finite differences through the whole encoder against a scalar probe."""
+    """Finite differences through the whole encoder against a scalar probe.
+
+    One draw at full resolution (sides under 14), and one at depth 1 on a
+    map of 128 to 143 cells a side, where the pool factor is 4: the check
+    then crosses the block-reduced input, two chained upsample2 and the crop.
+    """
+    depth = int(rng.integers(1, 3))
+    _encoder_probe(rng, depth, 2 ** depth, 14)
+    _encoder_probe(rng, 1, 128, 144)
+
+
+def _encoder_probe(rng, depth, lo, hi):
+    """The probe at `depth` on a map whose sides are drawn from [lo, hi)."""
     from gridplan import encoder as enc
 
-    depth = int(rng.integers(1, 3))
     arch = enc.Arch(depth=depth, base=4, out_scale=float(rng.uniform(1.0, 10.0)))
     model = enc.init_model(arch, seed=int(rng.integers(10_000)))
     # The default init zeroes the head (dead final kernel) and all conv
@@ -136,9 +147,8 @@ def case_encoder_probe(rng):
     for name, p in model.params.items():
         if name.endswith(".b") or name.startswith("head."):
             p.data[:] = rng.normal(0.0, 0.05, size=p.data.shape)
-    unit = 2 ** depth
-    h = int(rng.integers(unit, 14))
-    w = int(rng.integers(unit, 14))
+    h = int(rng.integers(lo, hi))
+    w = int(rng.integers(lo, hi))
     x = (rng.random((3, h, w)) < 0.3).astype(np.float64)
     r = ad.Tensor(rng.normal(size=(h, w)))
     names = ["head.w", "head.b", "enc0.b", f"dec{depth - 1}.b"]

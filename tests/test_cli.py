@@ -94,12 +94,23 @@ class TestPlan:
                    "--goal", f"{goal.row},{goal.col}", "--format", "json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"cost", "expansions", "elapsed_s", "path"}
+        assert set(payload) == {"cost", "expansions", "elapsed_s", "path", "env"}
         assert payload["path"][0] == [start.row, start.col]
         assert payload["path"][-1] == [goal.row, goal.col]
         ref = astar(PlanInstance(grid, start, goal))
         assert payload["cost"] == pytest.approx(ref.cost, abs=1e-12)
         assert payload["expansions"] == ref.expansions
+
+    def test_json_reports_environment(self, one_map, capsys):
+        _, free = open_cells(one_map)
+        start, goal = free[0], free[-1]
+        main(["plan", "--map", str(one_map), "--start", f"{start.row},{start.col}",
+              "--goal", f"{goal.row},{goal.col}", "--format", "json"])
+        env = json.loads(capsys.readouterr().out)["env"]
+        assert set(env) == {"nproc", "python", "numpy", "blas_thread_env"}
+        assert set(env["blas_thread_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["nproc"] >= 1 and env["numpy"] == np.__version__
 
     def test_dastar_adds_search_area_and_matches_astar(self, one_map, capsys):
         grid, free = open_cells(one_map)
@@ -161,8 +172,9 @@ class TestPlan:
                    "--goal", f"{goal.row},{goal.col}", "--emit", "metrics"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cost=" in out and "expansions=" in out
-        assert "path:" not in out
+        # Only the JSON format carries the environment.
+        assert [line.split("=", 1)[0] for line in out.splitlines()] == [
+            "cost", "expansions", "elapsed_s"]
 
     def test_text_closed_emit_renders_grid(self, one_map, capsys):
         grid, free = open_cells(one_map)

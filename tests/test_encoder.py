@@ -40,7 +40,7 @@ class TestArch:
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_sidecar_rejects_non_finite_out_scale(self, scale):
         with pytest.raises(CorruptCheckpointError):
-            Arch.from_sidecar_line(f"arch v1: depth=2 base=4 out_scale={scale}")
+            Arch.from_sidecar_line(f"arch v2: depth=2 base=4 out_scale={scale}")
 
     def test_sidecar_round_trip(self):
         for arch in (Arch(), Arch(depth=1, base=8, out_scale=2.5)):
@@ -48,13 +48,18 @@ class TestArch:
 
     def test_sidecar_rejects_garbage(self):
         with pytest.raises(CorruptCheckpointError):
-            Arch.from_sidecar_line("arch v2: depth=3 base=16 out_scale=10.0")
+            Arch.from_sidecar_line("arch v3: depth=3 base=16 out_scale=10.0")
         with pytest.raises(CorruptCheckpointError):
-            Arch.from_sidecar_line("arch v1: depth=three base=16 out_scale=10.0")
+            Arch.from_sidecar_line("arch v2: depth=three base=16 out_scale=10.0")
+
+    def test_sidecar_refuses_v1_naming_both_versions(self):
+        # v1 weights ran at full resolution; they must not load under v2's coarse grid.
+        with pytest.raises(ArchMismatchError, match="arch v1.*arch v2"):
+            Arch.from_sidecar_line("arch v1: depth=3 base=16 out_scale=10.0")
 
     def test_sidecar_item_without_equals_rejected(self):
         with pytest.raises(CorruptCheckpointError):
-            Arch.from_sidecar_line("arch v1: depth3 base=16 out_scale=10.0")
+            Arch.from_sidecar_line("arch v2: depth3 base=16 out_scale=10.0")
 
 
 class TestInit:
@@ -142,9 +147,10 @@ class TestForward:
         assert forward(model, x, record_graph=True).requires_grad
 
 
-def _translated_inputs(size, shift, block, start, goal):
-    base = np.zeros((3, size, size))
-    moved = np.zeros((3, size, size))
+def _translated_inputs(size, shift, block, start, goal, width=None):
+    width = width or size
+    base = np.zeros((3, size, width))
+    moved = np.zeros((3, size, width))
     r0, c0, side = block
     base[0, r0:r0 + side, c0:c0 + side] = 1.0
     base[1][start] = 1.0
@@ -157,23 +163,48 @@ def _translated_inputs(size, shift, block, start, goal):
 
 
 class TestTranslationCovariance:
+    """A shift by s * 2^depth cells moves the field with the map.
+
+    init_model zeroes the head, which makes every field constant, so the
+    head is drawn from N(0, 1) and the compared window must vary. Only
+    cells farther from the border than the receptive field can match: the
+    default depth reaches about 23 coarse cells, so the default-depth cases
+    shift along columns only and keep every row, on maps wider than tall.
+    """
+
+    @staticmethod
+    def fields(arch, seed, base, moved):
+        model = init_model(arch, seed=seed)
+        head = model.params["head.w"].data
+        head[:] = np.random.default_rng(seed).normal(0.0, 1.0, head.shape)
+        return forward(model, base).data, forward(model, moved).data
+
     def test_depth1_shift_by_pool_unit(self):
-        model = init_model(Arch(depth=1, base=4), seed=9)
         base, moved = _translated_inputs(
             32, (2, 2), block=(12, 12, 4), start=(10, 10), goal=(20, 20)
         )
-        pa = forward(model, base).data
-        pb = forward(model, moved).data
+        pa, pb = self.fields(Arch(depth=1, base=4), 9, base, moved)
+        assert np.ptp(pa[8:22, 8:22]) > 0
         assert np.array_equal(pa[8:22, 8:22], pb[10:24, 10:24])
 
     def test_default_depth_shift_by_pool_unit(self):
-        model = init_model(Arch(depth=3, base=8), seed=10)
+        assert encoder.pool_factor(48, 160) == 1
         base, moved = _translated_inputs(
-            64, (8, 8), block=(28, 28, 4), start=(26, 26), goal=(36, 36)
+            48, (0, 8), block=(20, 60, 8), start=(10, 50), goal=(36, 84), width=160
         )
-        pa = forward(model, base).data
-        pb = forward(model, moved).data
-        assert np.array_equal(pa[24:40, 24:40], pb[32:48, 32:48])
+        pa, pb = self.fields(Arch(depth=3, base=8), 10, base, moved)
+        assert np.ptp(pa[:, 32:120]) > 0
+        assert np.array_equal(pa[:, 32:120], pb[:, 40:128])
+
+    def test_coarse_default_depth_shift_by_pool_unit(self):
+        # s = 4 at 128, so the unit is 4 * 2^3 = 32 cells.
+        assert encoder.pool_factor(128, 256) == 4
+        base, moved = _translated_inputs(
+            128, (0, 32), block=(56, 100, 16), start=(30, 90), goal=(100, 140), width=256
+        )
+        pa, pb = self.fields(Arch(), 10, base, moved)
+        assert np.ptp(pa[:, 96:128]) > 0
+        assert np.array_equal(pa[:, 96:128], pb[:, 128:160])
 
 
 class TestInstanceTensor:
@@ -214,7 +245,7 @@ class TestCheckpointing:
         model = init_model(small_arch(), seed=13)
         path = tmp_path / "enc.ckpt"
         save_model(model, path)
-        (tmp_path / "enc.ckpt.arch").write_bytes(b"arch v1: depth=2 base=4 out_scale=\xe9\n")
+        (tmp_path / "enc.ckpt.arch").write_bytes(b"arch v2: depth=2 base=4 out_scale=\xe9\n")
         with pytest.raises(CorruptCheckpointError):
             load_model(path)
 
@@ -224,7 +255,7 @@ class TestCheckpointing:
         path = tmp_path / "enc.ckpt"
         save_model(model, path)
         (tmp_path / "enc.ckpt.arch").write_text(
-            "arch v1: depth=1000000000 base=4 out_scale=10.0\n")
+            "arch v2: depth=1000000000 base=4 out_scale=10.0\n")
 
         def no_plan(arch):
             raise AssertionError(f"layer plan built for {arch}")
@@ -260,7 +291,7 @@ class TestCheckpointing:
         model = init_model(Arch(depth=2, base=4), seed=16)
         path = tmp_path / "enc.ckpt"
         save_model(model, path)
-        (tmp_path / "enc.ckpt.arch").write_text("arch v1: depth=3 base=4 out_scale=10.0\n")
+        (tmp_path / "enc.ckpt.arch").write_text("arch v2: depth=3 base=4 out_scale=10.0\n")
         with pytest.raises(ArchMismatchError):
             load_model(path)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gridplan import autodiff as ad
 from gridplan.bench import load_plan
-from gridplan.encoder import Arch, init_model, load_model, save_model
+from gridplan.encoder import ARCH_FORMAT_VERSION, Arch, init_model, load_model, save_model
 from gridplan.errors import GridplanError, IllegalCharacterError
 from gridplan.grid import load_map, save_map
 
@@ -67,7 +67,7 @@ def sidecars(valid_line: str):
     return st.one_of(
         st.binary(max_size=60),
         st.just(valid_line.encode("ascii")),
-        items.map(lambda rest: f"arch v1: {rest}\n".encode("utf-8")),
+        items.map(lambda rest: f"{ARCH_FORMAT_VERSION}: {rest}\n".encode("utf-8")),
     )
 
 
