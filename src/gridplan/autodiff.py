@@ -7,7 +7,9 @@ the one fused op through which the search enters the graph, turning the
 tape of a heap search into the sum of its one-hot selections. Constants are
 built in numpy and enter as leaf Tensors. Shapes must match exactly for
 binary ops; nothing broadcasts. Backward walks an explicit topological
-order, so graph depth never hits the interpreter recursion limit.
+order, so graph depth never hits the interpreter recursion limit. conv2d
+runs as matrix products over im2col columns; a recorded conv2d keeps its
+input's columns, kh*kw times the input's size, until the graph is freed.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -174,13 +176,35 @@ def inner(a, b) -> Tensor:
     return _record(out_data, (a, b), backward)
 
 
+def _columns(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col of (C,H,W) zero-padded to keep H and W: (C*kh*kw, H*W).
+
+    Row (c, u, v) holds channel c shifted by tap (u, v), so a kernel
+    reshaped to (Cout, C*kh*kw) times these columns is the correlation.
+    A 1x1 kernel needs no shift, and its columns are a plain reshape.
+    """
+    c, h, w = a.shape
+    if kh == kw == 1:
+        return a.reshape(c, h * w)
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    padded[:, ph:ph + h, pw:pw + w] = a
+    sc, sh, sw = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (c, kh, kw, h, w), (sc, sh, sw, sh, sw), writeable=False)
+    return windows.reshape(c * kh * kw, h * w)
+
+
 def conv2d(x, kernel, bias) -> Tensor:
     """Channelwise cross-correlation: x (Cin,H,W) with kernel (Cout,Cin,kh,kw),
     plus a per-output-channel bias (Cout,).
 
-    Odd kernel sides only, zero-padded so the output keeps H and W.
-    Gradients reach x, kernel, and bias; the backward scatters per kernel
-    tap, so its cost is kh*kw sliced additions.
+    Odd kernel sides only, zero-padded so the output keeps H and W. The
+    forward is one matrix product against the im2col columns of x, which a
+    recorded op keeps for its backward. Gradients reach x, kernel and bias
+    by two more products: the kernel's against those columns, the input's as
+    the correlation of the output gradient with the kernel flipped in both
+    axes and transposed in its channel axes.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -194,33 +218,18 @@ def conv2d(x, kernel, bias) -> Tensor:
         raise ShapeMismatchError(f"kernel sides must be odd, got {kh}x{kw}")
     if bias.shape != (cout,):
         raise ShapeMismatchError(f"bias shape {bias.shape} != ({cout},)")
-    ph, pw = kh // 2, kw // 2
-
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    oh, ow = x.shape[1], x.shape[2]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    out_data = (np.tensordot(kernel.data, windows, axes=([1, 2, 3], [0, 3, 4]))
+    height, width = x.shape[1], x.shape[2]
+    cols = _columns(x.data, kh, kw)
+    out_data = ((kernel.data.reshape(cout, -1) @ cols).reshape(cout, height, width)
                 + bias.data[:, None, None])
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    gx[:, u:u + oh, v:v + ow] += np.tensordot(
-                        kernel.data[:, :, u, v], g, axes=([0], [0])
-                    )
-            if ph or pw:
-                gx = gx[:, ph:ph + x.shape[1], pw:pw + x.shape[2]]
-            x._accumulate(gx)
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            x._accumulate((flipped @ _columns(g, kh, kw)).reshape(x.shape))
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for u in range(kh):
-                for v in range(kw):
-                    gk[:, :, u, v] = np.tensordot(
-                        g, xp[:, u:u + oh, v:v + ow], axes=([1, 2], [1, 2])
-                    )
-            kernel._accumulate(gk)
+            gk = g.reshape(cout, height * width) @ cols.T
+            kernel._accumulate(gk.reshape(kernel.shape))
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
 

@@ -198,9 +198,15 @@ def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
     x = np.concatenate([x, goal_distance_channel(x[2])])
     x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
     if s > 1:
-        blocks = x.reshape(4, x.shape[1] // s, s, x.shape[2] // s, s)
-        x = blocks.mean(axis=(2, 4))
-        x[1:3] = blocks[1:3].max(axis=(2, 4))
+        # block mean of the obstacle and goal-distance channels; the start
+        # and goal planes are one-hot (nonnegative), so a block's max is the
+        # largest of its nonzero cells, placed at (r // s, c // s)
+        rows, cols = x.shape[1] // s, x.shape[2] // s
+        coarse = np.zeros((4, rows, cols))
+        coarse[[0, 3]] = x[[0, 3]].reshape(2, rows, s, cols, s).mean(axis=(2, 4))
+        plane, r, c = np.nonzero(x[1:3])
+        np.maximum.at(coarse, (plane + 1, r // s, c // s), x[1:3][plane, r, c])
+        x = coarse
     x = Tensor(x)
 
     skips = []

@@ -126,7 +126,11 @@ class ValidationStats:
 
 
 class AdamOptimizer:
-    """Adaptive-moment updates; reads averaged gradients off the tensors."""
+    """Adaptive-moment updates; reads averaged gradients off the tensors.
+
+    Moments update in place through one scratch buffer per parameter, in the
+    textbook formula's operation order, so each step equals it bit for bit.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -136,18 +140,29 @@ class AdamOptimizer:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._scratch = {k: np.empty_like(p.data) for k, p in params.items()}
 
     def step(self):
         self.t += 1
+        m_fix = 1 - self.beta1 ** self.t
+        v_fix = 1 - self.beta2 ** self.t
         for key, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            m_hat = self.m[key] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[key] / (1 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v, buf = self.m[key], self.v[key], self._scratch[key]
+            m *= self.beta1
+            m += np.multiply(g, 1 - self.beta1, out=buf)
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=buf)
+            v += np.multiply(buf, g, out=buf)
+            np.divide(v, v_fix, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = m / m_fix
+            update *= self.lr
+            update /= buf
+            p.data -= update
 
 
 class SgdMomentumOptimizer:

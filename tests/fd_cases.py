@@ -73,11 +73,13 @@ def case_conv2d(rng):
     probe = _Probe(rng)
     cin = int(rng.integers(1, 4))
     cout = int(rng.integers(1, 4))
-    h = int(rng.integers(3, 8))
-    w = int(rng.integers(3, 8))
-    k = int(rng.choice([1, 3, 5]))
+    # 1-row and 1-column maps, kernels wider than the map, and kh != kw,
+    # so a kernel flipped along one axis only cannot pass
+    h = int(rng.integers(1, 8))
+    w = int(rng.integers(1, 8))
+    kh, kw = (int(k) for k in rng.choice([1, 3, 5], size=2))
     x = rng.normal(size=(cin, h, w))
-    kern = rng.normal(size=(cout, cin, k, k))
+    kern = rng.normal(size=(cout, cin, kh, kw))
     bias = rng.normal(size=(cout,))
     check_gradients(lambda a, b, c: probe(ad.conv2d(a, b, c)), [x, kern, bias])
 

@@ -136,6 +136,30 @@ def conv2d_oracle(x: np.ndarray, k: np.ndarray, padding: str = "same") -> np.nda
     return out
 
 
+def conv2d_grad_oracle(x: np.ndarray, k: np.ndarray, g: np.ndarray):
+    """Gradients of <conv2d(x, k, b), g> by direct loops over every product.
+
+    Each term k[co, ci, u, v] * x[ci, i + u - ph, j + v - pw] of output
+    (co, i, j) sends g[co, i, j] times one factor to the other; terms that
+    read the zero padding send nothing to x. Returns (dx, dk, db).
+    """
+    cout, cin, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    _, h, w = x.shape
+    dx, dk = np.zeros_like(x), np.zeros_like(k)
+    for co in range(cout):
+        for i in range(h):
+            for j in range(w):
+                for ci in range(cin):
+                    for u in range(kh):
+                        for v in range(kw):
+                            r, c = i + u - ph, j + v - pw
+                            if 0 <= r < h and 0 <= c < w:
+                                dk[co, ci, u, v] += g[co, i, j] * x[ci, r, c]
+                                dx[ci, r, c] += g[co, i, j] * k[co, ci, u, v]
+    return dx, dk, g.sum(axis=(1, 2))
+
+
 def check_gradients(f, arrays, step: float = 1e-5, tol: float = 1e-4) -> float:
     """Compare reverse-mode gradients of scalar f(*tensors) to central FD.
 

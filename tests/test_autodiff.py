@@ -16,7 +16,7 @@ from gridplan.errors import (
 
 from . import fd_cases
 from .fd_cases import OP_CASES
-from .helpers import conv2d_oracle
+from .helpers import conv2d_grad_oracle, conv2d_oracle, relative_error
 
 
 class TestForwardExamples:
@@ -74,6 +74,28 @@ class TestConv:
         if padding == "valid":
             out = out[:, 1:-1, 1:-1]
         assert np.allclose(out, conv2d_oracle(x, k, padding), atol=1e-12)
+
+    # (cin, cout, h, w, kh, kw): non-square kernels, kernels larger than
+    # the map, 1-row and 1-column maps, one input or output channel, 1x1
+    EDGE_SHAPES = [(2, 3, 5, 6, 3, 5), (2, 2, 4, 5, 5, 1), (1, 2, 1, 7, 3, 3),
+                   (3, 1, 6, 1, 5, 3), (2, 2, 2, 3, 5, 5), (1, 1, 1, 1, 3, 1),
+                   (3, 2, 4, 5, 1, 1), (1, 3, 3, 4, 1, 5)]
+
+    @pytest.mark.parametrize("draw", range(len(EDGE_SHAPES) + 16))
+    def test_backward_matches_loop_reference(self, draw):
+        rng = np.random.default_rng(1400 + draw)
+        if draw < len(self.EDGE_SHAPES):
+            cin, cout, h, w, kh, kw = self.EDGE_SHAPES[draw]
+        else:
+            cin, cout, h, w = (int(n) for n in rng.integers(1, [4, 4, 8, 8]))
+            kh, kw = (int(n) for n in rng.choice([1, 3, 5], size=2))
+        x = ad.Tensor(rng.normal(size=(cin, h, w)), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(cout, cin, kh, kw)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=cout), requires_grad=True)
+        g = rng.normal(size=(cout, h, w))
+        ad.inner(ad.conv2d(x, k, b), ad.Tensor(g)).backward()
+        for got, want in zip((x.grad, k.grad, b.grad), conv2d_grad_oracle(x.data, k.data, g)):
+            assert relative_error(got, want) <= 1e-12
 
     def test_bias(self):
         x = np.zeros((1, 4, 4))

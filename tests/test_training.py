@@ -182,6 +182,33 @@ class TestOptimizers:
         AdamOptimizer(params, lr=0.1).step()
         assert params["frozen"].data == 5.0
 
+    def test_adam_in_place_matches_textbook_formula(self):
+        # The optimizer updates its moments in place; thirty steps must land
+        # bit for bit where the out-of-place formula does.
+        rng = np.random.default_rng(14)
+        shapes = {"w": (3, 2, 3, 3), "b": (3,), "head": (1, 3, 1, 1)}
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=shape)
+                  for k, shape in shapes.items()} for _ in range(30)]
+        params = self._params({k: v.copy() for k, v in start.items()})
+        opt = AdamOptimizer(params, lr=3e-3)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        ref = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        for t, step_grads in enumerate(grads, start=1):
+            for key, g in step_grads.items():
+                params[key].grad = g.copy()
+                m[key] = b1 * m[key] + (1 - b1) * g
+                v[key] = b2 * v[key] + (1 - b2) * g * g
+                m_hat = m[key] / (1 - b1 ** t)
+                v_hat = v[key] / (1 - b2 ** t)
+                ref[key] = ref[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+        for key in shapes:
+            assert np.array_equal(params[key].data, ref[key]), key
+            assert np.array_equal(opt.m[key], m[key]) and np.array_equal(opt.v[key], v[key])
+
     def test_sgd_momentum_accumulates(self):
         params = self._params({"w": [0.0]})
         opt = SgdMomentumOptimizer(params, lr=0.1, momentum=0.9)
