@@ -33,9 +33,11 @@ h stays a precomputed matrix: octile per push, even written inline, costs
 several times a memoryview read, and more over a query than one
 octile_matrix call.
 
-The expansion order and the path are kept as padded ints and converted once
-at the end, vectorised, into Coords and the closed and path matrices. A
-tape records unpadded flat indices r * W + c, read from a lookup list.
+The expansion order and the path are kept as padded ints. The path is
+converted at the end, vectorised, into Coords and the path matrix; the
+closed matrix is the search's own closed table cropped to the map; the
+visit order becomes Coords only when a caller first reads expansion_order.
+A tape records unpadded flat indices r * W + c, read from a lookup list.
 
 Jump point search scans in the same padded space. A scan asks only whether
 a cell has a forced neighbour, a yes/no written inline in the scan loop;
@@ -52,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -75,10 +78,11 @@ class SearchResult:
     """Output of one planner run.
 
     path_matrix marks path cells, closed_matrix marks every visited cell,
-    and expansions equals the popcount of closed_matrix. expansion_order
-    lists visited cells in visit order; jump_pops (jump point search only)
-    counts heap pops, which is the smaller number that shows the algorithm's
-    pruning even though its scans touch many cells.
+    and expansions equals the popcount of closed_matrix. padded_order holds
+    the visited cells in visit order as padded indices, and expansion_order
+    the same cells as Coords, built on first read and kept; jump_pops (jump
+    point search only) counts heap pops, which is the smaller number that
+    shows the algorithm's pruning even though its scans touch many cells.
     """
 
     path: tuple[Coord, ...]
@@ -86,8 +90,12 @@ class SearchResult:
     closed_matrix: np.ndarray
     expansions: int
     cost: float
-    expansion_order: tuple[Coord, ...] = field(repr=False, default=())
+    padded_order: list[int] = field(repr=False)
     jump_pops: int | None = None
+
+    @cached_property
+    def expansion_order(self) -> tuple[Coord, ...]:
+        return _coords(*_rows_cols(self.padded_order, self.closed_matrix.shape[1]))
 
 
 def octile(a: tuple[int, int], b: tuple[int, int]) -> float:
@@ -141,23 +149,25 @@ def _backtrack(parent, start: int, goal: int) -> list[int]:
     return chain
 
 
-def _result(shape, path: list[int], order: list[int], cost: float,
+def _crop(table: bytearray, shape: tuple[int, int]) -> np.ndarray:
+    """The map's cells of a padded per-index table, as a uint8 view."""
+    height, width = shape
+    return np.frombuffer(table, dtype=np.uint8).reshape(height + 2, width + 2)[1:-1, 1:-1]
+
+
+def _result(path: list[int], order: list[int], closed: np.ndarray, cost: float,
             jump_pops: int | None = None) -> SearchResult:
-    """The SearchResult of a padded path and visit order, converted once."""
-    width = shape[1]
-    rows, cols = _rows_cols(order, width)
-    closed_matrix = np.zeros(shape, dtype=np.uint8)
-    closed_matrix[rows, cols] = 1
-    path_rows, path_cols = _rows_cols(path, width)
-    path_matrix = np.zeros(shape, dtype=np.uint8)
+    """The SearchResult of a padded path, visit order and closed matrix."""
+    path_rows, path_cols = _rows_cols(path, closed.shape[1])
+    path_matrix = np.zeros(closed.shape, dtype=np.uint8)
     path_matrix[path_rows, path_cols] = 1
     return SearchResult(
         path=_coords(path_rows, path_cols),
         path_matrix=path_matrix,
-        closed_matrix=closed_matrix,
+        closed_matrix=closed,
         expansions=len(order),
         cost=cost,
-        expansion_order=_coords(rows, cols),
+        padded_order=order,
         jump_pops=jump_pops,
     )
 
@@ -248,7 +258,9 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
         blocked[p] = 1
         order.append(p)
         if p == goal:
-            return _result(grid.shape, _backtrack(parent, start, goal), order, g_here)
+            # Inside the ring, blocked holds the obstacles and the closed cells.
+            closed = _crop(blocked, grid.shape) - grid.occupancy
+            return _result(_backtrack(parent, start, goal), order, closed, g_here)
         for step, cost in steps:
             q = p + step
             if blocked[q]:
@@ -363,8 +375,8 @@ def jps(instance: PlanInstance) -> SearchResult:
             order.append(p)
         if p == goal:
             chain = _backtrack(parent, start, goal)
-            return _result(grid.shape, _interpolate(chain, pw), order, g_here,
-                           jump_pops=pops)
+            return _result(_interpolate(chain, pw), order, _crop(visited, grid.shape).copy(),
+                           g_here, jump_pops=pops)
         here = divmod(p, pw)
         for jp in successors(p, parent.get(p)):
             if expanded[jp]:

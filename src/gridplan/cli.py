@@ -175,6 +175,9 @@ def cmd_plan(args) -> int:
         run, _ = planner(spec)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
+    # elapsed_s times the planner call alone, encoder included. The visit
+    # order becomes Coords only when --emit closed reads expansion_order
+    # below, outside the timed call.
     t0 = time.perf_counter()
     result = run(instance)
     elapsed = time.perf_counter() - t0

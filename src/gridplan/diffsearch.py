@@ -23,7 +23,7 @@ weighted A*'s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,16 @@ class DiffSearchResult(SearchResult):
 
     mu: Tensor
     closed: Tensor
+
+
+def _with_tensors(found: SearchResult, mu: Tensor, closed: Tensor) -> DiffSearchResult:
+    """found's declared fields plus the tensors.
+
+    Only the fields are copied: a cached expansion_order sits in the
+    instance dict too, but is not a constructor argument.
+    """
+    return DiffSearchResult(**{f.name: getattr(found, f.name) for f in fields(found)},
+                            mu=mu, closed=closed)
 
 
 def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
@@ -76,5 +86,4 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
                                   tape.scores, math.sqrt(shape[0] * shape[1]))
     else:
         closed = Tensor(found.closed_matrix.astype(np.float64))
-    return DiffSearchResult(**vars(found), mu=Tensor(found.path_matrix.astype(np.float64)),
-                            closed=closed)
+    return _with_tensors(found, Tensor(found.path_matrix.astype(np.float64)), closed)

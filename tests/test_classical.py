@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridplan import diffsearch
+from gridplan import classical, diffsearch
 from gridplan.classical import (
     NEIGHBOR_OFFSETS,
     SQRT2,
@@ -22,7 +22,8 @@ from gridplan.classical import (
     weighted_bias,
 )
 from gridplan.errors import UnreachableGoalError
-from gridplan.grid import Coord, GridMap, PlanInstance, generate_map
+from gridplan.grid import (GENERATOR_KINDS, Coord, GridMap, PlanInstance, generate_map,
+                           sample_instance)
 
 from .helpers import (
     assert_valid_path,
@@ -228,6 +229,51 @@ class TestJumpPointSearch:
         assert res.jump_pops is not None
         assert res.jump_pops <= res.expansions
         assert res.expansions == int(res.closed_matrix.sum())
+
+
+def tape_search(inst):
+    """A tape-recording biased search under a seeded random bias."""
+    bias = np.random.default_rng(7).uniform(0.0, 3.0, size=inst.grid.shape)
+    return _biased_search(inst, octile_matrix(inst.grid.shape, inst.goal), bias,
+                          SelectionTape())
+
+
+class TestResultTables:
+    def test_order_converted_only_when_read(self, monkeypatch):
+        calls = []
+        coords = classical._coords
+
+        def counting(rows, cols):
+            calls.append(len(rows))
+            return coords(rows, cols)
+
+        monkeypatch.setattr(classical, "_coords", counting)
+        inst = make_instances(1, size=32, seed=1400)[0]
+        for planner in PLANNERS:
+            calls.clear()
+            res = planner(inst)
+            assert calls == [len(res.path)], planner.__name__
+            order = res.expansion_order
+            assert calls == [len(res.path), res.expansions], planner.__name__
+            assert res.expansion_order is order
+            assert len(calls) == 2
+
+    def test_closed_matrix_is_the_scatter_of_the_order(self):
+        planners = {"astar": astar, "wastar:2": lambda i: astar(i, weight=2.0),
+                    "dijkstra": dijkstra, "jps": jps, "tape": tape_search}
+        for k, kind in enumerate(GENERATOR_KINDS):
+            for width, height, density in ((40, 23, 0.25), (21, 38, 0.55), (30, 30, 0.45)):
+                grid = generate_map(kind, width, height, density=density, seed=1410 + k)
+                inst = sample_instance(grid, seed=1420 + k)
+                for name, planner in planners.items():
+                    res = planner(inst)
+                    want = np.zeros(grid.shape, dtype=np.uint8)
+                    for cell in res.expansion_order:
+                        want[cell] = 1
+                    assert res.closed_matrix.dtype == np.uint8, name
+                    assert np.array_equal(res.closed_matrix, want), (kind, width, name)
+                    assert res.expansions == len(res.expansion_order) \
+                        == int(res.closed_matrix.sum()), (kind, width, name)
 
 
 class TestPathGeometry:

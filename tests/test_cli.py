@@ -191,13 +191,17 @@ class TestPlan:
     def test_json_closed_emit_lists_expansions(self, one_map, capsys):
         grid, free = open_cells(one_map)
         start, goal = free[0], free[-1]
-        rc = main(["plan", "--map", str(one_map),
-                   "--start", f"{start.row},{start.col}",
-                   "--goal", f"{goal.row},{goal.col}", "--emit", "closed",
-                   "--format", "json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["closed"]) == payload["expansions"]
+        for algo in ("astar", "dastar"):
+            rc = main(["plan", "--algo", algo, "--map", str(one_map),
+                       "--start", f"{start.row},{start.col}",
+                       "--goal", f"{goal.row},{goal.col}", "--emit", "closed",
+                       "--format", "json"])
+            assert rc == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert len(payload["closed"]) == payload["expansions"]
+            run, _ = bench.planner(algo)
+            order = run(PlanInstance(grid, start, goal)).expansion_order
+            assert payload["closed"] == [[r, c] for r, c in order], algo
 
     def test_obstacle_goal_exits_1_naming_cell(self, one_map, capsys):
         grid, _ = open_cells(one_map)

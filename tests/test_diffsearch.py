@@ -9,7 +9,7 @@ from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
 from gridplan.classical import (SQRT2, SearchResult, SelectionTape, _biased_search,
                                 astar, dijkstra, octile_matrix, weighted_bias)
-from gridplan.diffsearch import search
+from gridplan.diffsearch import _with_tensors, search
 from gridplan.errors import ShapeMismatchError, UnreachableGoalError
 from gridplan.grid import Coord, GridMap, PlanInstance
 from gridplan.training import imperative_loss, supervised_loss
@@ -165,6 +165,20 @@ class TestDegeneracyToClassical:
                     assert np.array_equal(a, b), f.name
                 else:
                     assert a == b, f.name
+            assert got.expansion_order == want.expansion_order
+
+    def test_result_built_after_expansion_order_was_read(self):
+        # Reading expansion_order caches it on the instance; building the
+        # differentiable result from that instance must still work.
+        found = astar(make_instances(1, size=24, seed=24)[0])
+        order = found.expansion_order
+        mu = Tensor(found.path_matrix.astype(np.float64))
+        closed = Tensor(found.closed_matrix.astype(np.float64))
+        res = _with_tensors(found, mu, closed)
+        assert res.mu is mu and res.closed is closed
+        assert res.expansion_order == order
+        for f in dataclasses.fields(SearchResult):
+            assert getattr(res, f.name) is getattr(found, f.name), f.name
 
     def test_empty_corner_to_corner(self):
         res = search(empty_instance(8, (0, 0), (7, 7)))
