@@ -1,9 +1,9 @@
 """Benchmark harness: method specs, randomized trials, comparison tables.
 
-planner() is the one parser of method names, for the CLI's plan command
-and for make_method. Per instance and method the harness reports Exp, Rt
-and AL (gridplan.metrics) and the path length PL, all relative to a
-classical A* reference run on the same instance.
+make_method() is the one parser of method names, for the CLI's plan
+command and for the harness. Per instance and method the harness reports
+Exp, Rt and AL (gridplan.metrics) and the path length PL, all relative to
+a classical A* reference run on the same instance.
 
 Planners do not time themselves; the harness times each call from outside.
 Timing is single-instance wall clock: one warm-up call, then the median of
@@ -104,29 +104,13 @@ def load_plan(path) -> TrialPlan:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    area: int
-    length: float
-    path_cells: int
-
-    @property
-    def extra(self) -> int:
-        return self.area - self.path_cells
-
-
-@dataclass(frozen=True)
 class Method:
-    """A runnable planning method; run(instance) -> RunRecord."""
+    """A runnable planning method; run(instance) returns the planner's result."""
     name: str
     run: object
     optimal: bool
     report_rt: bool = True
     is_reference: bool = False
-
-
-def _run_record(result) -> RunRecord:
-    return RunRecord(area=result.expansions, length=result.cost,
-                     path_cells=len(result.path))
 
 
 def _wastar_weight(spec: str) -> float:
@@ -157,8 +141,8 @@ def bias_source(spec: str):
                      " expected zero | wastar:W | model:CKPT | model=CKPT")
 
 
-def planner(spec: str, bias_offset: float = 0.0):
-    """Parse a method spec; returns (run, optimal).
+def make_method(spec: str, bias_offset: float = 0.0) -> Method:
+    """Parse a method spec into a Method named by the spec.
 
     Grammar: astar | dijkstra | jps | wastar:W | dastar[:SOURCE], where
     SOURCE is a bias_source spec and defaults to zero. run(instance) returns
@@ -168,15 +152,15 @@ def planner(spec: str, bias_offset: float = 0.0):
     exposed for exactly that check).
     """
     if spec == "astar":
-        return (lambda inst: astar(inst)), True
-    if spec == "dijkstra":
-        return (lambda inst: dijkstra(inst)), True
-    if spec == "jps":
-        return (lambda inst: jps(inst)), True
-    if spec.startswith("wastar:"):
+        run, optimal = (lambda inst: astar(inst)), True
+    elif spec == "dijkstra":
+        run, optimal = (lambda inst: dijkstra(inst)), True
+    elif spec == "jps":
+        run, optimal = (lambda inst: jps(inst)), True
+    elif spec.startswith("wastar:"):
         weight = _wastar_weight(spec)
-        return (lambda inst: astar(inst, weight=weight)), weight == 1.0
-    if spec == "dastar" or spec.startswith("dastar:"):
+        run, optimal = (lambda inst: astar(inst, weight=weight)), weight == 1.0
+    elif spec == "dastar" or spec.startswith("dastar:"):
         field, optimal = bias_source(spec.partition(":")[2] or "zero")
 
         def run(inst: PlanInstance):
@@ -184,15 +168,9 @@ def planner(spec: str, bias_offset: float = 0.0):
             if bias_offset:
                 bias = (np.zeros(inst.grid.shape) if bias is None else bias) + bias_offset
             return search(inst, bias=bias)
-
-        return run, optimal
-    raise ValueError(f"unknown method {spec!r}")
-
-
-def make_method(spec: str, bias_offset: float = 0.0) -> Method:
-    """Build a Method from a planner spec; see planner for the grammar."""
-    run, optimal = planner(spec, bias_offset)
-    return Method(spec, lambda inst: _run_record(run(inst)), optimal=optimal,
+    else:
+        raise ValueError(f"unknown method {spec!r}")
+    return Method(spec, run, optimal=optimal,
                   report_rt=spec != "jps", is_reference=spec == "astar")
 
 
@@ -275,59 +253,49 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
     (out_dir / "env.json").write_text(env + "\n", encoding="ascii")
     trials = plan_trials(plan)
 
-    def metric_pass(trial: Trial):
-        reference = _run_record(astar(trial.instance))
-        records = {}
+    def metric_rows(trial: Trial) -> list[dict]:
+        # Rows keep scalars only: a planner result can hold H x W arrays.
+        reference = astar(trial.instance)
+        rows = []
         for method in methods:
-            if method.is_reference:
-                records[method.name] = reference
-                continue
+            row = {"kind": trial.kind, "size": trial.size, "trial": trial.index,
+                   "method": method.name, "ref_area": reference.expansions}
             try:
-                records[method.name] = method.run(trial.instance)
+                found = reference if method.is_reference else method.run(trial.instance)
             except UnreachableGoalError as exc:
-                records[method.name] = f"{type(exc).__name__}: {exc}"
-        return reference, records
+                row["status"] = f"{type(exc).__name__}: {exc}"
+            else:
+                row.update(status="ok", area=found.expansions, length=found.cost,
+                           Exp=exp_metric(reference.expansions, found.expansions),
+                           AL=al_metric(found.expansions - len(found.path), found.cost),
+                           PL=found.cost)
+            rows.append(row)
+        return rows
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            metric_results = list(pool.map(metric_pass, trials))
+            trial_rows = list(pool.map(metric_rows, trials))
     else:
-        metric_results = [metric_pass(trial) for trial in trials]
+        trial_rows = [metric_rows(trial) for trial in trials]
 
     # Timed calls are serialized to keep wall-clock samples clean.
     instance_rows = []
-    for trial, (reference, records) in zip(trials, metric_results):
+    for trial, rows in zip(trials, trial_rows):
         ref_elapsed = _time_call(lambda: astar(trial.instance))
         if progress is not None:
             progress(trial)
-        for method in methods:
-            record = records[method.name]
-            row = {
-                "kind": trial.kind,
-                "size": trial.size,
-                "trial": trial.index,
-                "method": method.name,
-                "ref_area": reference.area,
-                "ref_elapsed_s": ref_elapsed,
-            }
-            if isinstance(record, str):
-                row["status"] = record
-                instance_rows.append(row)
+        for method, row in zip(methods, rows):
+            row["ref_elapsed_s"] = ref_elapsed
+            if row["status"] != "ok":
                 continue
-            row["status"] = "ok"
             if method.is_reference:
                 elapsed = ref_elapsed
             else:
                 elapsed = _time_call(lambda m=method: m.run(trial.instance))
-            row["area"] = record.area
-            row["length"] = record.length
             row["elapsed_s"] = elapsed
-            row["Exp"] = exp_metric(reference.area, record.area)
-            row["AL"] = al_metric(record.extra, record.length)
-            row["PL"] = record.length
             if method.report_rt:
                 row["Rt"] = rt_metric(ref_elapsed, elapsed)
-            instance_rows.append(row)
+        instance_rows.extend(rows)
 
     summary_rows = summarize(plan, methods, instance_rows)
     _write_csv(summary_rows, out_dir / "results.csv")

@@ -73,7 +73,7 @@ NEIGHBOR_OFFSETS = (
     (1, -1, SQRT2), (1, 0, 1.0), (1, 1, SQRT2),
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Output of one planner run.
 
@@ -83,6 +83,7 @@ class SearchResult:
     the same cells as Coords, built on first read and kept; jump_pops (jump
     point search only) counts heap pops, which is the smaller number that
     shows the algorithm's pruning even though its scans touch many cells.
+    Results compare by identity: a numpy field has no single truth value.
     """
 
     path: tuple[Coord, ...]

@@ -18,12 +18,14 @@ import numpy as np
 
 from . import __version__
 from .autodiff import CHECKPOINT_MAGIC
-from .bench import MAP_KINDS, TrialPlan, environment, load_plan, planner, run_benchmark
+from .bench import (MAP_KINDS, TrialPlan, environment, load_plan, make_method,
+                    run_benchmark)
 from .encoder import Arch, save_model
 from .errors import DivergenceError, GridplanError
 from .grid import (MAP_FORMAT_VERSION, Coord, PlanInstance, generate_map,
                    load_map, sample_instance, save_map)
-from .training import TrainConfig, train, write_al_curve, write_training_log
+from .training import (MODES, OPTIMIZERS, TrainConfig, train, write_al_curve,
+                       write_training_log)
 
 CHECKPOINT_FORMAT_VERSION = CHECKPOINT_MAGIC.decode("ascii").strip()
 
@@ -95,22 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="train the bias encoder on a directory of maps")
     tr.add_argument("--data", required=True,
                     help="directory of .map files (one instance sampled per map)")
-    tr.add_argument("--mode", choices=("imperative", "supervised"),
-                    default="imperative")
-    tr.add_argument("--epochs", type=int, default=20)
+    tr.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     tr.add_argument("--lr", type=float, default=TrainConfig.lr)
-    tr.add_argument("--batch", type=int, default=8)
+    tr.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     tr.add_argument("--out", required=True, help="checkpoint output path")
     tr.add_argument("--log", required=True, help="CSV log output path")
-    tr.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    tr.add_argument("--w-area", type=float, default=1.0)
-    tr.add_argument("--w-length", type=float, default=1.0)
+    tr.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    tr.add_argument("--w-area", type=float, default=TrainConfig.w_a)
+    tr.add_argument("--w-length", type=float, default=TrainConfig.w_l)
     tr.add_argument("--val-frac", type=_fraction, default=0.2,
                     help="fraction of instances held out for validation")
-    tr.add_argument("--depth", type=int, default=3, help="encoder stages")
-    tr.add_argument("--base", type=int, default=16,
+    tr.add_argument("--depth", type=int, default=Arch.depth, help="encoder stages")
+    tr.add_argument("--base", type=int, default=Arch.base,
                     help="encoder channels at full resolution")
-    tr.add_argument("--out-scale", type=float, default=10.0,
+    tr.add_argument("--out-scale", type=float, default=Arch.out_scale,
                     help="upper bound of the predicted bias")
 
     be = sub.add_parser("bench", parents=[common],
@@ -139,28 +140,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _render_closed(instance: PlanInstance, closed, path_cells) -> str:
+def _render_closed(instance: PlanInstance, closed, path) -> str:
     """ASCII view: '#' obstacle, '+' expanded, '*' path, S/G endpoints."""
-    grid = instance.grid
-    rows = []
-    on_path = set(path_cells)
-    for r in range(grid.height):
-        row = []
-        for c in range(grid.width):
-            if (r, c) == tuple(instance.start):
-                row.append("S")
-            elif (r, c) == tuple(instance.goal):
-                row.append("G")
-            elif not grid.is_free(Coord(r, c)):
-                row.append("#")
-            elif Coord(r, c) in on_path:
-                row.append("*")
-            elif closed[r, c]:
-                row.append("+")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows)
+    view = np.where(closed, "+", ".")
+    view[tuple(zip(*path))] = "*"
+    view[instance.grid.occupancy == 1] = "#"
+    view[instance.start], view[instance.goal] = "S", "G"
+    return "\n".join(map("".join, view.tolist()))
 
 
 def cmd_plan(args) -> int:
@@ -172,7 +158,7 @@ def cmd_plan(args) -> int:
                   "dastar": (f"dastar:{args.p_source}", "p-source")
                   }.get(args.algo, (args.algo, "algo"))
     try:
-        run, _ = planner(spec)
+        run = make_method(spec).run
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
     # elapsed_s times the planner call alone, encoder included. The visit
@@ -198,11 +184,10 @@ def cmd_plan(args) -> int:
         payload["env"] = environment()
         print(json.dumps(payload))
         return 0
-    print(f"cost={result.cost!r}")
-    print(f"expansions={result.expansions}")
-    print(f"elapsed_s={elapsed!r}")
-    if args.algo == "dastar":
-        print(f"search_area={result.expansions}")
+    # The lists (path, closed) print below, each in its own layout.
+    for key, value in payload.items():
+        if not isinstance(value, list):
+            print(f"{key}={value!r}")
     if args.emit == "path":
         print("path:")
         for cell in result.path:

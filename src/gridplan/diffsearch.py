@@ -34,7 +34,7 @@ from .errors import ShapeMismatchError
 from .grid import PlanInstance
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class DiffSearchResult(SearchResult):
     """A SearchResult plus the path and closed set as tensors.
 

@@ -41,6 +41,10 @@ OCTILE_KERNEL = np.array(
 # Global gradient norm that each optimizer step's gradients are clipped to.
 GRAD_CLIP = 10.0
 
+# The values TrainConfig accepts for optimizer and mode; the CLI offers these.
+OPTIMIZERS = ("adam", "sgd")
+MODES = ("imperative", "supervised")
+
 
 def area_loss(closed, mu) -> Tensor:
     """Count of visited cells off the final path: <closed, 1 - mu>.
@@ -96,10 +100,10 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.mode not in ("imperative", "supervised"):
-            raise ValueError(f"mode must be 'imperative' or 'supervised', got {self.mode!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "imperative" and self.w_a == 0:
             raise ValueError("imperative training needs w_a > 0: the length term "
                              "carries no gradient")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridplan import bench, cli
-from gridplan.bench import (DEFAULT_SIZES, MAP_KINDS, Method, RunRecord,
+from gridplan.bench import (DEFAULT_SIZES, MAP_KINDS, Method,
                             TrialPlan, al_metric, bias_source,
                             deterministic_fingerprint,
                             exp_metric, load_plan, make_method, parse_plan,
@@ -160,7 +160,7 @@ class TestBiasSource:
                              "--start", f"{inst.start.row},{inst.start.col}",
                              "--goal", f"{inst.goal.row},{inst.goal.col}"]) == 0
             plan_cost = json.loads(capsys.readouterr().out)["cost"]
-            assert make_method(f"dastar:{spec}").run(inst).length == plan_cost
+            assert make_method(f"dastar:{spec}").run(inst).cost == plan_cost
             assert len(fields) == 2
             for got in fields:
                 if field is None:
@@ -187,19 +187,19 @@ class TestMakeMethod:
     def test_dastar_zero_matches_astar_record(self):
         m = make_method("dastar:zero")
         for inst in make_instances(5, size=16, seed=40):
-            rec = m.run(inst)
+            found = m.run(inst)
             ref = astar(inst)
-            assert rec.area == ref.expansions
-            assert rec.length == ref.cost
-            assert rec.path_cells == len(ref.path)
+            assert found.expansions == ref.expansions
+            assert found.cost == ref.cost
+            assert found.path == ref.path
 
     def test_dastar_weighted_matches_classical_weighted(self):
         m = make_method("dastar:wastar:2")
         for inst in make_instances(5, size=16, seed=41):
-            rec = m.run(inst)
+            found = m.run(inst)
             ref = astar(inst, weight=2.0)
-            assert rec.area == ref.expansions
-            assert rec.length == ref.cost
+            assert found.expansions == ref.expansions
+            assert found.cost == ref.cost
 
     def test_dastar_model_runs_and_shift_is_invariant(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"
@@ -208,11 +208,8 @@ class TestMakeMethod:
         shifted = make_method(f"dastar:model={ckpt}", bias_offset=10.0)
         for inst in make_instances(3, size=16, seed=42):
             a, b = base.run(inst), shifted.run(inst)
-            assert a == b
-
-    def test_record_extra(self):
-        rec = RunRecord(area=10, length=4.0, path_cells=3)
-        assert rec.extra == 7
+            assert (a.expansion_order, a.path, a.cost) == \
+                (b.expansion_order, b.path, b.cost)
 
 
 def small_plan(**kw):
@@ -305,6 +302,16 @@ class TestRunBenchmark:
             if r["status"] == "ok":
                 assert r["AL"] >= r["PL"]
 
+    def test_al_and_pl_come_from_the_trials_own_result(self, report):
+        instances = {(t.kind, t.size, t.index): t.instance
+                     for t in plan_trials(small_plan())}
+        for r in report.instance_rows:
+            found = make_method(r["method"]).run(
+                instances[r["kind"], r["size"], r["trial"]])
+            assert (r["area"], r["length"]) == (found.expansions, found.cost)
+            assert r["AL"] == math.sqrt(r["area"] - len(found.path)) + r["length"]
+            assert r["PL"] == r["length"]
+
     def test_jsonl_round_trips(self, report):
         lines = (report.out_dir / "instances.jsonl").read_text().splitlines()
         assert len(lines) == len(report.instance_rows)
@@ -363,11 +370,20 @@ class TestBehaviors:
 
         methods = [make_method("astar"),
                    Method("broken", broken, optimal=False)]
-        report = run_benchmark(small_plan(trials=2), methods, tmp_path)
-        failed = [r for r in report.instance_rows if r["method"] == "broken"]
-        assert failed and all(r["status"] != "ok" for r in failed)
-        assert not any(r["method"] == "broken" for r in report.summary_rows)
-        assert "excluded" in (tmp_path / "table.txt").read_text()
+        statuses = {}
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            report = run_benchmark(small_plan(trials=2), methods, out, threads=threads)
+            failed = [r for r in report.instance_rows if r["method"] == "broken"]
+            assert failed and all(r["status"] != "ok" for r in failed)
+            assert not any(r["method"] == "broken" for r in report.summary_rows)
+            assert "excluded" in (out / "table.txt").read_text()
+            statuses[threads] = [r["status"] for r in report.instance_rows]
+        # Failure rows are built inside the pool's threads.
+        assert statuses[1] == statuses[2]
+        assert "UnreachableGoalError: always fails" in statuses[1]
+        assert deterministic_fingerprint(tmp_path / "1") == \
+            deterministic_fingerprint(tmp_path / "2")
 
     def test_duplicate_method_names_rejected(self, tmp_path):
         with pytest.raises(ValueError):

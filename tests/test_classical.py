@@ -258,6 +258,15 @@ class TestResultTables:
             assert res.expansion_order is order
             assert len(calls) == 2
 
+    def test_results_compare_without_raising(self):
+        # The numpy fields have no single truth value, so a generated
+        # field-by-field __eq__ would raise here.
+        inst = make_instances(1, size=16, seed=1430)[0]
+        for planner in (*PLANNERS, diffsearch.search):
+            a, b = planner(inst), planner(inst)
+            assert a == a, planner.__name__
+            assert isinstance(a == b, bool), planner.__name__
+
     def test_closed_matrix_is_the_scatter_of_the_order(self):
         planners = {"astar": astar, "wastar:2": lambda i: astar(i, weight=2.0),
                     "dijkstra": dijkstra, "jps": jps, "tape": tape_search}

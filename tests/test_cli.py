@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from gridplan import bench
-from gridplan.classical import astar
+from gridplan import bench, cli
+from gridplan.classical import astar, jps
 from gridplan.cli import build_parser, main
 from gridplan.encoder import Arch, init_model, predict_bias, save_model
-from gridplan.grid import Coord, PlanInstance, load_map, save_map, generate_map
+from gridplan.grid import (GENERATOR_KINDS, Coord, GridMap, PlanInstance, generate_map,
+                           load_map, sample_instance, save_map)
+from gridplan.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +31,19 @@ def map_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def one_map(map_dir):
     return map_dir / "random-blocks-20x20-s9.map"
+
+
+@pytest.fixture(scope="module")
+def hand_map(tmp_path_factory):
+    rows = ["........",
+            "...#....",
+            "...#..#.",
+            "...#....",
+            "........"]
+    occ = np.array([[c == "#" for c in row] for row in rows], dtype=np.uint8)
+    path = tmp_path_factory.mktemp("hand") / "wall.map"
+    save_map(GridMap.from_occupancy(occ), path)
+    return path
 
 
 def open_cells(path):
@@ -188,6 +204,51 @@ class TestPlan:
         rows = out.strip().splitlines()[-grid.height:]
         assert all(len(r) == grid.width for r in rows)
 
+    def test_text_closed_emit_renders_every_glyph(self, hand_map, capsys):
+        # A* from (2,0) to (2,7) climbs over the wall's top end: the grid
+        # shows obstacles, expanded cells, path, unvisited cells, S and G.
+        assert main(["plan", "--map", str(hand_map), "--start", "2,0",
+                     "--goal", "2,7", "--emit", "closed"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[3:] == ["...*....",
+                           "++*#***.",
+                           "S*+#.+#G",
+                           "+++#....",
+                           "........"]
+
+    def test_closed_grid_matches_a_cell_by_cell_rendering(self):
+        def glyph(inst, res, cell):
+            if cell == inst.start:
+                return "S"
+            if cell == inst.goal:
+                return "G"
+            if not inst.grid.is_free(cell):
+                return "#"
+            if cell in res.path:
+                return "*"
+            return "+" if res.closed_matrix[cell] else "."
+
+        for k, kind in enumerate(GENERATOR_KINDS):
+            for width, height in ((9, 13), (23, 11)):
+                grid = generate_map(kind, width, height, seed=60 + k)
+                inst = sample_instance(grid, seed=70 + k)
+                for planner in (astar, jps):
+                    res = planner(inst)
+                    want = "\n".join(
+                        "".join(glyph(inst, res, Coord(r, c)) for c in range(width))
+                        for r in range(height))
+                    assert cli._render_closed(inst, res.closed_matrix, res.path) == want
+
+    def test_text_dastar_lines(self, hand_map, capsys):
+        assert main(["plan", "--algo", "dastar", "--map", str(hand_map),
+                     "--start", "2,0", "--goal", "2,7", "--emit", "metrics"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        key, _, elapsed = lines.pop(2).partition("=")
+        assert key == "elapsed_s" and float(elapsed) > 0
+        # 3 straight steps and 4 diagonals, with 15 cells expanded.
+        assert lines == [f"cost={3 + 4 * 2 ** 0.5!r}", "expansions=15",
+                         "search_area=15"]
+
     def test_json_closed_emit_lists_expansions(self, one_map, capsys):
         grid, free = open_cells(one_map)
         start, goal = free[0], free[-1]
@@ -199,7 +260,7 @@ class TestPlan:
             assert rc == 0
             payload = json.loads(capsys.readouterr().out)
             assert len(payload["closed"]) == payload["expansions"]
-            run, _ = bench.planner(algo)
+            run = bench.make_method(algo).run
             order = run(PlanInstance(grid, start, goal)).expansion_order
             assert payload["closed"] == [[r, c] for r, c in order], algo
 
@@ -273,6 +334,25 @@ class TestTrain:
         assert strip(first) == strip(second)
         assert (out / "model.ckpt").read_bytes() == \
             (tmp_path / "re-model.ckpt").read_bytes()
+
+    def test_required_flags_only_build_the_default_config(self, map_dir, tmp_path,
+                                                           monkeypatch):
+        class Stop(Exception):
+            pass
+
+        built = []
+
+        def capture(train_instances, val_instances, config, arch, progress):
+            built.append((config, arch))
+            raise Stop
+
+        monkeypatch.setattr(cli, "train", capture)
+        with pytest.raises(Stop):
+            main(["train", "--data", str(map_dir), "--out", str(tmp_path / "m.ckpt"),
+                  "--log", str(tmp_path / "l.csv")])
+        config, arch = built[0]
+        assert dataclasses.replace(config, seed=TrainConfig.seed) == TrainConfig()
+        assert arch == Arch()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1.5", "-0.5"])
     def test_val_frac_outside_unit_interval_exits_2(self, map_dir, tmp_path, value):
