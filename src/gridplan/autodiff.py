@@ -3,13 +3,17 @@
 Exactly the operations a gradient crosses, nothing more: conv2d, relu,
 maxpool2, upsample2, concat_channels, sigmoid, scale, crop2d and reshape in
 the instance encoder; add, scale and inner in the losses; and selection_sum,
-the one fused op through which the search enters the graph, turning the
-tape of a heap search into the sum of its one-hot selections. Constants are
-built in numpy and enter as leaf Tensors. Shapes must match exactly for
-binary ops; nothing broadcasts. Backward walks an explicit topological
-order, so graph depth never hits the interpreter recursion limit. conv2d
-runs as matrix products over im2col columns; a recorded conv2d keeps its
-input's columns, kh*kw times the input's size, until the graph is freed.
+the one fused op through which the search enters the graph. It turns the
+tape of a heap search, one entry per push with its birth and death step,
+into the sum of its one-hot selections; its backward sums each entry's
+soft-selection gradient over the entry's lifetime from prefix sums over
+steps, with the open-set sums re-based every few steps so that they do not
+cancel. Constants are built in numpy and enter as leaf Tensors. Shapes
+must match exactly for binary ops; nothing broadcasts. Backward walks an
+explicit topological order, so graph depth never hits the interpreter
+recursion limit. conv2d runs as matrix products over im2col columns; a
+recorded conv2d keeps its input's columns, kh*kw times the input's size,
+until the graph is freed.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -319,49 +323,102 @@ def crop2d(a, height: int, width: int) -> Tensor:
     return _record(out_data.copy(), (a,), backward)
 
 
-def selection_sum(bias, selected, starts, cells, scores, tau: float) -> Tensor:
+def selection_sum(bias, selected, cells, scores, birth, death, tau: float) -> Tensor:
     """Sum of a search's hard one-hot selections, soft gradient behind each.
 
-    Step t of a best-first search selected flat index selected[t] among the
-    cells open at that step, cells[starts[t]:starts[t + 1]], whose scores
-    were scores[starts[t]:starts[t + 1]]: cost + heuristic + bias, so each
-    score moves one for one with its cell's bias. Forward returns
+    Step t < T of a best-first search selected flat index selected[t]. The
+    tape lists open entries: entry c held cell cells[c] with score
+    scores[c] (cost + heuristic + bias, so it moves one for one with its
+    cell's bias) at the steps t with birth[c] <= t < death[c]. Each step's
+    selected cell must have an entry open at that step. Forward returns
     sum_t onehot(selected[t]), shaped like bias: the search's closed set.
-    Backward treats step t's one-hot as the soft weighting
-    q_t = exp(-s_t / tau) / Z_t over its open cells, so an upstream gradient
-    g lands on the bias as -q_t * (g - <q_t, g>) / tau on those cells only.
-    The centering makes uniform upstream components vanish and leaves the
-    gradient invariant to constant score shifts.
+
+    Backward treats step t's one-hot as the soft weighting q_t = e / Z_t
+    over its open entries, e_c = exp(-(s_c - min s) / tau),
+    Z_t = sum_open e. An upstream gradient G then lands on the bias as
+    -q_t * (G - <q_t, G>) / tau on those entries only; the centering makes
+    uniform upstream components vanish and leaves the gradient invariant to
+    constant score shifts. Summed over entry c's lifetime [b, d), with
+    A_t = sum_open e * G, that is
+
+        -(e_c / tau) * (G_c * sum_{b<=t<d} 1 / Z_t - sum_{b<=t<d} A_t / Z_t^2),
+
+    two prefix sums over steps read at b and d, so the backward costs
+    O(entries + steps), not O(sum of the open-set sizes). Z_t and A_t are
+    not running sums that add e at birth and subtract it at death: on a
+    maze at 128 the open set turns over many times while Z_t shrinks by up
+    to eight orders of magnitude, and the gradient from such sums drifts
+    up to 1e-8 relative from the per-step one. _open_sums re-bases them
+    every OPEN_SUM_BLOCK steps.
     """
     bias = as_tensor(bias)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     selected = np.asarray(selected, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    sizes = np.diff(starts)
-    if not (selected.shape == sizes.shape
-            and cells.shape == scores.shape == (starts[-1],)
-            and starts[0] == 0 and (sizes > 0).all()):
-        raise ShapeMismatchError("selection tape: need one nonempty open set per step")
-    step = np.repeat(np.arange(sizes.size), sizes)
-    lo = starts[:-1]
-    if not np.logical_or.reduceat(cells == selected[step], lo).all():
-        raise ValueError("selection tape: a selected cell is not open at its step")
+    birth = np.asarray(birth, dtype=np.int64)
+    death = np.asarray(death, dtype=np.int64)
+    steps = selected.size
+    if not (selected.ndim == cells.ndim == 1
+            and cells.shape == scores.shape == birth.shape == death.shape
+            and (birth >= 0).all() and (birth < death).all() and (death <= steps).all()):
+        raise ShapeMismatchError("selection tape: need equal-length entries,"
+                                 " each with 0 <= birth < death <= steps")
+    # (cell, step) pairs as keys cell * steps + step: an entry spans the
+    # keys [cell * steps + birth, cell * steps + death), and a selection is
+    # open where more spans have started than ended at its key.
+    key = selected * steps + np.arange(steps)
+    live = (np.searchsorted(np.sort(cells * steps + birth), key, "right")
+            - np.searchsorted(np.sort(cells * steps + death), key, "right"))
+    if not (live > 0).all():
+        raise ShapeMismatchError("selection tape: a selected cell is not open at its step")
     out_data = np.bincount(selected, minlength=bias.data.size).reshape(bias.shape)
 
     def backward(g):
-        # shift by each step's minimum so every partition sum stays >= 1
-        e = np.exp(-(scores - np.minimum.reduceat(scores, lo)[step]) / tau)
-        q = e / np.add.reduceat(e, lo)[step]
-        gq = g.reshape(-1)[cells]
-        centered = gq - np.add.reduceat(q * gq, lo)[step]
-        contrib = -(q * centered) / tau
+        e = np.exp(-(scores - scores.min()) / tau)
+        gc = g.reshape(-1)[cells]
+        z, a = _open_sums(birth, death, steps, e, e * gc)
+        mean = a / z
+        per_z = np.concatenate(([0.0], np.cumsum(1.0 / z)))
+        per_mean = np.concatenate(([0.0], np.cumsum(mean / z)))
+        contrib = -(e / tau) * (gc * (per_z[death] - per_z[birth])
+                                - (per_mean[death] - per_mean[birth]))
         bias._accumulate(np.bincount(cells, weights=contrib,
                                      minlength=bias.data.size).reshape(bias.shape))
 
     return _record(out_data, (bias,), backward)
+
+
+# Steps between direct sums in _open_sums.
+OPEN_SUM_BLOCK = 16
+
+
+def _open_sums(birth, death, steps, *weights) -> list[np.ndarray]:
+    """Per weight w and step t < steps, the sum of w over entries open at t.
+
+    A running sum that adds w at an entry's birth and subtracts it at its
+    death cancels badly once the open set has turned over many times: the
+    sums shrink by orders of magnitude on a maze while the rounding error
+    of everything added before stays. So every OPEN_SUM_BLOCK-th step sums
+    its open entries directly, and only the steps in between add up births
+    and deaths from there.
+    """
+    blocks = -(-steps // OPEN_SUM_BLOCK)
+    # block k starts at step k * OPEN_SUM_BLOCK; an entry is open at the
+    # starts of blocks first <= k < last
+    first, last = -(-birth // OPEN_SUM_BLOCK), -(-death // OPEN_SUM_BLOCK)
+    count = last - first
+    entry = np.repeat(np.arange(count.size), count)
+    block = first[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    size = blocks * OPEN_SUM_BLOCK
+    out = []
+    for w in weights:
+        delta = np.bincount(birth, w, size) - np.bincount(death, w, size + 1)[:size]
+        delta = delta.reshape(blocks, OPEN_SUM_BLOCK)
+        delta[:, 0] = np.bincount(block, w[entry], blocks)
+        out.append(delta.cumsum(axis=1).ravel()[:steps])
+    return out
 
 
 def save_tensors(path, named: dict[str, "Tensor | np.ndarray"]) -> None:

@@ -8,10 +8,14 @@ consistent under this model.
 A* keeps its per-node score as (g + h) + bias with h read from a precomputed
 heuristic matrix and bias = (weight - 1) * h, and breaks score ties by
 (score, h, row-major index). The one best-first engine, _biased_search, also
-runs the differentiable search: given a SelectionTape it records, at every
-expansion, the selected cell and the cells open at that step with their
-scores, which is all the selection backward needs. Without a tape that work
-is skipped.
+runs the differentiable search. Given a SelectionTape, it records events,
+not open sets: each push appends its padded cell and its score, and each
+expansion appends one mark, the number of pushes so far. An open entry's
+score is fixed from its push until a later push of its cell supersedes it
+or its cell is selected, so at the goal numpy derives from those lists each
+entry's flat cell, birth step and death step, which is all the selection
+backward needs. The tape then costs O(pushes + expansions), not the sum of
+the open-set sizes over all expansions. Without a tape that work is skipped.
 
 The planners search in padded-index space. The map sits inside a one-cell
 obstacle ring, and cell (r, c) has index p = (r + 1) * (W + 2) + c + 1 of
@@ -37,7 +41,7 @@ The expansion order and the path are kept as padded ints. The path is
 converted at the end, vectorised, into Coords and the path matrix; the
 closed matrix is the search's own closed table cropped to the map; the
 visit order becomes Coords only when a caller first reads expansion_order.
-A tape records unpadded flat indices r * W + c, read from a lookup list.
+A tape's derived arrays hold unpadded flat indices r * W + c.
 
 Jump point search scans in the same padded space. A scan asks only whether
 a cell has a forced neighbour, a yes/no written inline in the scan loop;
@@ -190,25 +194,70 @@ def dijkstra(instance: PlanInstance) -> SearchResult:
 
 
 class SelectionTape:
-    """The open set at every expansion of one search, as flat lists.
+    """The push and expansion events of one search, and the entries they imply.
 
-    Indices are unpadded flat indices r * W + c. Step t expanded
-    selected[t]; the cells open just before it, the selected one included,
-    are cells[starts[t]:starts[t + 1]] with their scores (g + h) + bias at
-    the same positions of scores.
+    While the engine searches, each push appends its padded index to pushed
+    and its score (g + h) + bias to pushed_scores, and each expansion
+    appends to marks the number of pushes made before it. Each push opens
+    one entry. At the goal, finish derives, over steps t < T:
+    - expanded[t], the unpadded flat index r * W + c selected at step t;
+    - per entry, its flat cell (entry_cells), its score (entry_scores), its
+      birth, the first step at which it is open, and its death, the first
+      step at which it is not: the birth of the next push of its cell, the
+      step after its cell is selected, or T.
+    The cells open at step t, the selected one included, are those of the
+    entries with birth <= t < death.
+
+    selected, starts, cells and scores give the same tape per step:
+    selected[t] is expanded[t], and the cells open at step t are
+    cells[starts[t]:starts[t + 1]], in the order of their cells' first
+    pushes, with their scores at the same positions of scores. They are
+    Python lists built from the entries on first read, in O(sum of the
+    open-set sizes); the search and its backward never read them.
     """
 
     def __init__(self):
-        self.selected: list[int] = []
-        self.starts: list[int] = [0]
-        self.cells: list[int] = []
-        self.scores: list[float] = []
+        self.pushed: list[int] = []
+        self.pushed_scores: list[float] = []
+        self.marks: list[int] = []
 
-    def record(self, idx: int, open_scores: dict[int, float]) -> None:
-        self.selected.append(idx)
-        self.cells.extend(open_scores)
-        self.scores.extend(open_scores.values())
-        self.starts.append(len(self.cells))
+    def finish(self, order: list[int], shape: tuple[int, int]) -> None:
+        """Derive the entries' cells, births and deaths; order is the visit order."""
+        height, width = shape
+        rows, cols = _rows_cols(self.pushed, width)
+        cells = rows * width + cols
+        rows, cols = _rows_cols(order, width)
+        self.expanded = rows * width + cols
+        steps = len(order)
+        birth = np.searchsorted(np.array(self.marks, dtype=np.intp), np.arange(cells.size),
+                                "right")
+        after_selection = np.full(height * width, steps)
+        after_selection[self.expanded] = np.arange(1, steps + 1)
+        death = after_selection[cells]
+        # A cell's entries in push order: each dies when the next is born.
+        by_cell = np.argsort(cells, kind="stable")
+        same = cells[by_cell[1:]] == cells[by_cell[:-1]]
+        death[by_cell[:-1][same]] = birth[by_cell[1:][same]]
+        self.entry_cells = cells
+        self.entry_scores = np.array(self.pushed_scores, dtype=np.float64)
+        self.birth, self.death = birth, death
+
+    @cached_property
+    def _per_step(self) -> tuple[list[int], list[int], list[int], list[float]]:
+        """selected, starts, cells and scores: each step's live entries."""
+        life = self.death - self.birth
+        entry = np.repeat(np.arange(life.size), life)
+        step = self.birth[entry] + np.arange(entry.size) - np.repeat(np.cumsum(life) - life, life)
+        _, first, which = np.unique(self.entry_cells, return_index=True, return_inverse=True)
+        entry = entry[np.lexsort((first[which][entry], step))]
+        starts = np.cumsum(np.bincount(step, minlength=self.expanded.size))
+        return (self.expanded.tolist(), [0, *starts.tolist()],
+                self.entry_cells[entry].tolist(), self.entry_scores[entry].tolist())
+
+    selected = property(lambda self: self._per_step[0])
+    starts = property(lambda self: self._per_step[1])
+    cells = property(lambda self: self._per_step[2])
+    scores = property(lambda self: self._per_step[3])
 
 
 def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
@@ -218,7 +267,7 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     Shared engine for dijkstra (h = bias = 0), A* (bias = 0), weighted A*
     (bias = (w-1)h), and arbitrary-bias runs driven by a trained model.
     Closed nodes are never reopened; lazy heap deletion with a stored-g
-    staleness check. With a tape, every expansion is recorded on it.
+    staleness check. With a tape, every push and expansion is recorded on it.
     """
     grid = instance.grid
     width = grid.shape[1]
@@ -237,28 +286,24 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     heappush, heappop = heapq.heappush, heapq.heappop
     f0 = (0.0 + h_pad[start]) + bias_pad[start]
     heap: list[tuple[float, float, int, float]] = [(f0, h_pad[start], start, 0.0)]
-    # Current score of every open cell, kept only when recording a tape.
-    # It is keyed by flat index r * W + c, looked up per push and pop in
-    # flat_of: the tape's cells, summed over the open sets of all steps,
-    # far outnumber the pushes, so converting them at the end costs more.
-    if tape is not None:
-        flat_of = _padded(np.arange(grid.occupancy.size).reshape(grid.shape),
-                          -1, np.intp).tolist()
-        open_scores = {flat_of[start]: f0}
-    else:
-        open_scores = None
+    recording = tape is not None
+    if recording:
+        pushed = tape.pushed
+        push_cell, push_score, mark = pushed.append, tape.pushed_scores.append, tape.marks.append
+        push_cell(start)
+        push_score(f0)
 
     while heap:
         _, _, p, g_here = heappop(heap)
         if blocked[p] or g_here != g[p]:
             continue
-        if open_scores is not None:
-            idx = flat_of[p]
-            tape.record(idx, open_scores)
-            del open_scores[idx]
+        if recording:
+            mark(len(pushed))
         blocked[p] = 1
         order.append(p)
         if p == goal:
+            if recording:
+                tape.finish(order, grid.shape)
             # Inside the ring, blocked holds the obstacles and the closed cells.
             closed = _crop(blocked, grid.shape) - grid.occupancy
             return _result(_backtrack(parent, start, goal), order, closed, g_here)
@@ -273,8 +318,9 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
                 h = h_pad[q]
                 f = (cand + h) + bias_pad[q]
                 heappush(heap, (f, h, q, cand))
-                if open_scores is not None:
-                    open_scores[flat_of[q]] = f
+                if recording:
+                    push_cell(q)
+                    push_score(f)
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"

@@ -162,8 +162,8 @@ def cmd_plan(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
     # elapsed_s times the planner call alone, encoder included. The visit
-    # order becomes Coords only when --emit closed reads expansion_order
-    # below, outside the timed call.
+    # order becomes Coords only when JSON output with --emit closed reads
+    # expansion_order below, outside the timed call.
     t0 = time.perf_counter()
     result = run(instance)
     elapsed = time.perf_counter() - t0
@@ -176,15 +176,15 @@ def cmd_plan(args) -> int:
     }
     if args.algo == "dastar":
         payload["search_area"] = result.expansions
-    if args.emit == "closed":
-        payload["closed"] = [[r, c] for r, c in result.expansion_order]
 
     if args.fmt == "json":
+        if args.emit == "closed":
+            payload["closed"] = [[r, c] for r, c in result.expansion_order]
         # elapsed_s depends on the machine as much as on the code.
         payload["env"] = environment()
         print(json.dumps(payload))
         return 0
-    # The lists (path, closed) print below, each in its own layout.
+    # The path list prints below in its own layout, under --emit path.
     for key, value in payload.items():
         if not isinstance(value, list):
             print(f"{key}={value!r}")

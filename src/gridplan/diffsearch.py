@@ -5,13 +5,16 @@ engine, ordered by cost + heuristic + a per-cell selection bias supplied by
 a caller (zero, a weighted-A* schedule, or a trained encoder). Each
 expansion is a hard choice of the open cell with the least score, so
 reported paths and costs are exact. When the bias carries a gradient the
-engine records a tape of the open set at every expansion, and
-autodiff.selection_sum turns it into the sum of the one-hot selections,
-the closed set, whose backward is the soft temperature weighting over each
-step's open cells. The tape holds unpadded flat indices r * W + c, which
-index the bias's flattened data directly; the engine's padded indices never
-leave classical. The closed set is the only output that carries a
-gradient: the backtracked path is a constant, as in the losses that read it.
+engine records a tape of events: each push opens an entry, a cell and a
+score that hold from that push until a later push of the cell supersedes
+it or the cell is selected. autodiff.selection_sum turns the tape into the
+sum of the one-hot selections, the closed set, whose backward is the soft
+temperature weighting over each step's open entries, summed over each
+entry's lifetime. The tape's arrays hold unpadded flat indices r * W + c,
+which index the bias's flattened data directly; the engine's padded
+indices never leave classical. The closed set is the only output that
+carries a gradient: the backtracked path is a constant, as in the losses
+that read it.
 
 The score is (S + H) + (bias - min bias) in float64 with ties broken by
 (score, heuristic, row-major index), and neighbor offers use the shared
@@ -82,8 +85,8 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
     found = _biased_search(instance, octile_matrix(shape, instance.goal), shifted, tape)
 
     if tape is not None:
-        closed = ad.selection_sum(bias, tape.selected, tape.starts, tape.cells,
-                                  tape.scores, math.sqrt(shape[0] * shape[1]))
+        closed = ad.selection_sum(bias, tape.expanded, tape.entry_cells, tape.entry_scores,
+                                  tape.birth, tape.death, math.sqrt(shape[0] * shape[1]))
     else:
         closed = Tensor(found.closed_matrix.astype(np.float64))
     return _with_tensors(found, Tensor(found.path_matrix.astype(np.float64)), closed)

@@ -173,31 +173,33 @@ def _encoder_probe(rng, depth, lo, hi):
 
 
 def case_selection_sum(rng):
-    """Backward matches finite differences of the per-step soft weightings."""
+    """Backward matches finite differences of the per-step soft weightings.
+
+    Entries have random lifetimes; every step gets one entry born there,
+    and selects the cell of one of the entries open at it.
+    """
     h, w = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     steps = int(rng.integers(1, 5))
-    selected, starts, cells, base = [], [0], [], []
-    for _ in range(steps):
-        open_cells = rng.permutation(h * w)[:int(rng.integers(1, h * w + 1))]
-        selected.append(int(rng.choice(open_cells)))
-        cells.extend(open_cells.tolist())
-        base.extend(rng.normal(size=open_cells.size).tolist())
-        starts.append(len(cells))
-    cells, base = np.array(cells), np.array(base)
+    extra = int(rng.integers(0, 2 * h * w))
+    cells = rng.integers(h * w, size=extra + steps)
+    birth = np.concatenate([rng.integers(steps, size=extra), np.arange(steps)])
+    death = birth + 1 + rng.integers(0, steps - birth)
+    selected = [int(rng.choice(cells[(birth <= t) & (t < death)])) for t in range(steps)]
+    base = rng.normal(size=cells.size)
     tau = float(rng.uniform(0.5, 3.0))
     bias = rng.normal(size=(h, w))
     upstream = rng.normal(size=(h, w))
 
     leaf = ad.Tensor(bias, requires_grad=True)
     scores = base + bias.reshape(-1)[cells]
-    out = ad.selection_sum(leaf, selected, starts, cells, scores, tau)
+    out = ad.selection_sum(leaf, selected, cells, scores, birth, death, tau)
     ad.inner(out, ad.Tensor(upstream)).backward()
     analytic = leaf.grad.copy()
 
     def soft():
         total = 0.0
         for t in range(steps):
-            part = slice(starts[t], starts[t + 1])
+            part = (birth <= t) & (t < death)
             raw = np.exp(-(base[part] + bias.reshape(-1)[cells[part]]) / tau)
             total += (raw / raw.sum() * upstream.reshape(-1)[cells[part]]).sum()
         return total

@@ -273,6 +273,56 @@ def dense_selection_grad(steps, upstream: np.ndarray, tau: float) -> np.ndarray:
     return grad
 
 
+def per_step_selection_grad(selected, starts, cells, scores, tau: float,
+                            g: np.ndarray) -> np.ndarray:
+    """The selection backward over a per-step tape, the event backward's reference.
+
+    Step t selected flat index selected[t] among the cells
+    cells[starts[t]:starts[t + 1]] open there, whose scores sit at the same
+    positions of scores. This is selection_sum's backward as it ran when
+    the tape held every step's open set: q_t = exp(-s_t / tau) / Z_t per
+    step, shifted by each step's minimum, and -q_t * (g - <q_t, g>) / tau
+    on that step's cells. Returns the gradient shaped like g.
+    """
+    selected = np.asarray(selected, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    sizes = np.diff(starts)
+    assert selected.shape == sizes.shape and (sizes > 0).all()
+    step = np.repeat(np.arange(sizes.size), sizes)
+    lo = starts[:-1]
+    # shift by each step's minimum so every partition sum stays >= 1
+    e = np.exp(-(scores - np.minimum.reduceat(scores, lo)[step]) / tau)
+    q = e / np.add.reduceat(e, lo)[step]
+    gq = g.reshape(-1)[cells]
+    centered = gq - np.add.reduceat(q * gq, lo)[step]
+    contrib = -(q * centered) / tau
+    return np.bincount(cells, weights=contrib, minlength=g.size).reshape(g.shape)
+
+
+def running_sum_selection_grad(tape, tau: float, g: np.ndarray) -> np.ndarray:
+    """The event backward with Z_t and A_t as global running sums.
+
+    Each entry adds its weight at birth and subtracts it at death, with no
+    re-basing: the form whose cancellation selection_sum avoids.
+    """
+    e = np.exp(-(tape.entry_scores - tape.entry_scores.min()) / tau)
+    gc = g.reshape(-1)[tape.entry_cells]
+    steps = tape.expanded.size
+
+    def open_sums(w):
+        delta = np.bincount(tape.birth, w, steps + 1) - np.bincount(tape.death, w, steps + 1)
+        return np.cumsum(delta)[:steps]
+
+    z, a = open_sums(e), open_sums(e * gc)
+    per_z = np.concatenate(([0.0], np.cumsum(1.0 / z)))
+    per_mean = np.concatenate(([0.0], np.cumsum(a / z / z)))
+    contrib = -(e / tau) * (gc * (per_z[tape.death] - per_z[tape.birth])
+                            - (per_mean[tape.death] - per_mean[tape.birth]))
+    return np.bincount(tape.entry_cells, contrib, g.size).reshape(g.shape)
+
+
 def forced_dirs_reference(occupancy: np.ndarray, r: int, c: int, dr: int, dc: int) -> list:
     """Jump point search's forced-neighbour directions at (r, c) under (dr, dc) travel.
 

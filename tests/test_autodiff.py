@@ -144,8 +144,8 @@ class TestResample:
 
 class TestSelectionSum:
     # Two steps on a 2x3 grid: cell 0 alone, then cell 4 out of {1, 3, 4}.
-    TAPE = dict(selected=[0, 4], starts=[0, 1, 4], cells=[0, 1, 3, 4],
-                scores=[0.0, 2.0, 1.5, 1.0])
+    TAPE = dict(selected=[0, 4], cells=[0, 1, 3, 4], scores=[0.0, 2.0, 1.5, 1.0],
+                birth=[0, 1, 1, 1], death=[1, 2, 2, 2])
 
     def test_forward_sums_one_hots(self):
         out = ad.selection_sum(ad.Tensor(np.zeros((2, 3))), tau=1.0, **self.TAPE)
@@ -154,8 +154,8 @@ class TestSelectionSum:
     def test_single_open_cell_gets_no_gradient(self):
         # Every step has one open cell: the selections are forced.
         leaf = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-        out = ad.selection_sum(leaf, selected=[0, 4], starts=[0, 1, 2], cells=[0, 4],
-                               scores=[0.0, 1.0], tau=1.0)
+        out = ad.selection_sum(leaf, selected=[0, 4], cells=[0, 4], scores=[0.0, 1.0],
+                               birth=[0, 1], death=[1, 2], tau=1.0)
         ad.inner(out, ad.Tensor(np.arange(6.0).reshape(2, 3))).backward()
         assert np.array_equal(leaf.grad, np.zeros((2, 3)))
 
@@ -168,8 +168,20 @@ class TestSelectionSum:
         assert abs(leaf.grad.sum()) < 1e-15
 
     @pytest.mark.parametrize("bad", [
-        dict(starts=[0, 1, 1], cells=[0], scores=[0.0]),
+        # no entry open at step 1
+        dict(cells=[0], scores=[0.0], birth=[0], death=[1]),
+        # lengths differ
         dict(cells=[0, 1, 3, 4], scores=[0.0, 2.0, 1.5]),
+        dict(birth=[0, 1, 1]),
+        # death <= birth
+        dict(birth=[0, 1, 1, 1], death=[1, 2, 1, 2]),
+        # death after the last step, birth before the first
+        dict(death=[1, 2, 3, 2]),
+        dict(birth=[-1, 1, 1, 1]),
+        # a selected cell with no entry, and with one that died before its step
+        dict(selected=[0, 5]),
+        dict(cells=[0, 1, 3, 4, 4], scores=[0.0, 2.0, 1.5, 1.0, 1.0],
+             birth=[0, 1, 1, 0, 0], death=[1, 2, 2, 1, 1]),
     ])
     def test_malformed_tape_rejected(self, bad):
         with pytest.raises(ShapeMismatchError):

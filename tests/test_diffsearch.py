@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 import tracemalloc
 
@@ -11,11 +12,12 @@ from gridplan.classical import (SQRT2, SearchResult, SelectionTape, _biased_sear
                                 astar, dijkstra, octile_matrix, weighted_bias)
 from gridplan.diffsearch import _with_tensors, search
 from gridplan.errors import ShapeMismatchError, UnreachableGoalError
-from gridplan.grid import Coord, GridMap, PlanInstance
+from gridplan.grid import GENERATOR_KINDS, Coord, GridMap, PlanInstance
 from gridplan.training import imperative_loss, supervised_loss
 
 from .helpers import (assert_valid_path, dense_search, dense_selection_grad,
-                      distance_field, make_instances, relative_error)
+                      distance_field, make_instances, per_step_selection_grad,
+                      relative_error, running_sum_selection_grad)
 
 
 def empty_instance(size, start, goal):
@@ -38,9 +40,9 @@ def record_tape(inst, bias=None):
 
 
 def open_at(tape, t):
-    """Open cells at step t mapped to their scores."""
-    lo, hi = tape.starts[t], tape.starts[t + 1]
-    return dict(zip(tape.cells[lo:hi], tape.scores[lo:hi]))
+    """Open cells at step t mapped to their scores: the entries alive at t."""
+    live = (tape.birth <= t) & (t < tape.death)
+    return dict(zip(tape.entry_cells[live].tolist(), tape.entry_scores[live].tolist()))
 
 
 def oracle_grad(inst, bias, upstream):
@@ -75,7 +77,7 @@ class TestStateMechanics:
     def test_expand_start_on_empty_map(self):
         inst = empty_instance(8, (3, 3), (7, 7))
         tape = record_tape(inst)
-        assert tape.selected[0] == 3 * 8 + 3
+        assert tape.expanded[0] == 3 * 8 + 3
         h = octile_matrix((8, 8), Coord(7, 7))
         want = {}
         for dr in (-1, 0, 1):
@@ -93,8 +95,8 @@ class TestStateMechanics:
         bias = np.random.default_rng(6).uniform(0.0, 8.0, size=(16, 16))
         tape = record_tape(inst, bias)
         closed = set()
-        for t in range(len(tape.selected) - 1):
-            sel = tape.selected[t]
+        for t in range(tape.expanded.size - 1):
+            sel = tape.expanded[t]
             closed.add(sel)
             before, after = open_at(tape, t), open_at(tape, t + 1)
             changed = {i for i in after if before.get(i) != after[i]}
@@ -107,21 +109,22 @@ class TestStateMechanics:
         inst = empty_instance(8, (2, 5), (6, 6))
         tape = record_tape(inst)
         assert open_at(tape, 0) == {2 * 8 + 5: octile_matrix((8, 8), Coord(6, 6))[2, 5]}
-        assert tape.selected[0] == 2 * 8 + 5
+        assert tape.expanded[0] == 2 * 8 + 5
 
     def test_expand_rejects_unopened_cell(self):
         leaf = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            ad.selection_sum(leaf, [3], [0, 2], [0, 1], [0.0, 1.0], tau=1.0)
+            ad.selection_sum(leaf, [3], [0, 1], [0.0, 1.0], [0, 0], [1, 1], tau=1.0)
 
     def test_open_closed_disjoint_throughout(self):
         inst = make_instances(1, size=16, seed=5)[0]
         tape = record_tape(inst)
-        for t, sel in enumerate(tape.selected):
+        selected = tape.expanded.tolist()
+        for t, sel in enumerate(selected):
             here = open_at(tape, t)
             assert sel in here
-            assert not set(here) & set(tape.selected[:t])
-        assert len(set(tape.selected)) == len(tape.selected)
+            assert not set(here) & set(selected[:t])
+        assert len(set(selected)) == len(selected)
 
 
 class TestDegeneracyToClassical:
@@ -149,7 +152,7 @@ class TestDegeneracyToClassical:
             field = distance_field(inst.grid.occupancy, inst.start)
             h = octile_matrix(inst.grid.shape, inst.goal)
             tape = record_tape(inst)
-            for t, sel in enumerate(tape.selected):
+            for t, sel in enumerate(tape.expanded.tolist()):
                 cell = divmod(sel, 24)
                 assert abs(open_at(tape, t)[sel] - (field[cell] + h[cell])) < 1e-9
 
@@ -341,3 +344,59 @@ def test_gradient_search_memory_stays_far_below_a_grid_per_expansion():
         tracemalloc.stop()
     per_expansion_grids = res.expansions * 64 * 64 * 8
     assert peak < per_expansion_grids / 10, (peak, res.expansions)
+
+
+def backward_against_per_step(inst, values, mode):
+    """The search's bias gradient, the per-step backward's, and the tape."""
+    leaf = Tensor(values.copy(), requires_grad=True)
+    res = search(inst, bias=leaf)
+    if mode == "imperative":
+        imperative_loss(res, 1.0, 1.0).backward()
+        upstream = 1.0 - res.path_matrix
+    else:
+        label = dijkstra(inst).path_matrix
+        supervised_loss(res, label).backward()
+        upstream = np.sign(res.closed_matrix - label.astype(float)) / label.size
+    tape = record_tape(inst, values)
+    tau = math.sqrt(values.size)
+    want = per_step_selection_grad(tape.selected, tape.starts, tape.cells, tape.scores,
+                                   tau, upstream)
+    return leaf.grad, want, running_sum_selection_grad(tape, tau, upstream)
+
+
+class TestEventBackward:
+    """The backward over entry lifetimes against the per-step backward."""
+
+    @pytest.mark.parametrize("mode", ["imperative", "supervised"])
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_matches_per_step_backward(self, size, kind, mode):
+        rng = np.random.default_rng(size)
+        for inst in make_instances(2, size=size, seed=171, kinds=(kind,)):
+            values = rng.uniform(0.0, 5.0, size=inst.grid.shape)
+            got, want, _ = backward_against_per_step(inst, values, mode)
+            assert relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["imperative", "supervised"])
+    def test_rebased_sums_hold_where_running_sums_drift(self, mode):
+        # On this maze (7,628 expansions) open-set sums kept as one running
+        # sum of births and deaths drift past 1e-11; re-basing them every
+        # few steps keeps the backward within 1e-12.
+        inst = make_instances(1, size=128, seed=4, kinds=("maze",))[0]
+        values = np.random.default_rng(4).uniform(0.0, 5.0, size=(128, 128))
+        got, want, running = backward_against_per_step(inst, values, mode)
+        assert relative_error(running, want) > 1e-11
+        assert relative_error(got, want) <= 1e-12
+
+
+def test_tape_holds_one_entry_per_push(monkeypatch):
+    # The tape grows with the pushes, not with the open set summed over
+    # the expansions, which on rooms at 128 is tens of times larger.
+    inst = make_instances(1, size=128, seed=161, kinds=("rooms",))[0]
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: (pushes.append(item), push(heap, item)))
+    tape = record_tape(inst, np.random.default_rng(161).uniform(0.0, 5.0, size=(128, 128)))
+    # the start enters the heap without a push
+    assert tape.entry_cells.size == tape.entry_scores.size == len(pushes) + 1
+    assert tape.entry_cells.size < tape.starts[-1] / 10
