@@ -13,7 +13,12 @@ must match exactly for binary ops; nothing broadcasts. Backward walks an
 explicit topological order, so graph depth never hits the interpreter
 recursion limit. conv2d runs as matrix products over im2col columns; a
 recorded conv2d keeps its input's columns, kh*kw times the input's size,
-until the graph is freed.
+until the graph is freed. maxpool2 and upsample2 work on the four strided
+quadrants a[:, i::2, j::2] of each 2x2 block, so they cost whole-array
+passes and no index gathers: pooling keeps the first quadrant that holds
+the maximum and routes the gradient back to it, and the upsampling's
+backward sums a block as (g00 + g01) + (g10 + g11). A tensor's first
+gradient is written in one pass as g + 0.0, later ones are added in place.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -72,9 +77,16 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        """Add g into self.grad.
+
+        The first call writes g + 0.0 into a new array: one pass, never an
+        alias of g, of a view of it or of a caller's seed, and -0.0 turns
+        into +0.0 exactly as zeros + g would. Later calls add in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None):
         """Accumulate gradients of this (scalar) tensor into the graph leaves."""
@@ -224,8 +236,8 @@ def conv2d(x, kernel, bias) -> Tensor:
         raise ShapeMismatchError(f"bias shape {bias.shape} != ({cout},)")
     height, width = x.shape[1], x.shape[2]
     cols = _columns(x.data, kh, kw)
-    out_data = ((kernel.data.reshape(cout, -1) @ cols).reshape(cout, height, width)
-                + bias.data[:, None, None])
+    out_data = (kernel.data.reshape(cout, -1) @ cols).reshape(cout, height, width)
+    out_data += bias.data[:, None, None]
 
     def backward(g):
         if x.requires_grad:
@@ -241,37 +253,60 @@ def conv2d(x, kernel, bias) -> Tensor:
 
 
 def maxpool2(a) -> Tensor:
-    """2x2 max pooling with stride 2 on (C,H,W); ties go to the first index."""
+    """2x2 max pooling with stride 2 on (C,H,W); ties go to the first quadrant.
+
+    The quadrants are the strided views a[:, i::2, j::2], in the order
+    (0,0), (0,1), (1,0), (1,1), and each output is the value of the first
+    quadrant that holds its block's maximum, -0.0 against +0.0 included.
+    np.maximum returns its second argument when the two compare equal
+    (numpy 2.4 on x86-64: maximum(-0.0, +0.0) is +0.0; the signed-zero
+    pooling tests pin it), so the maximum of each pair, and then of the two
+    pairs, takes the earlier operand second. The backward routes g
+    to that quadrant, the first whose value equals the output, and writes
+    +0.0 everywhere else.
+    """
     a = as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeMismatchError(f"maxpool2 wants (C,H,W), got {a.shape}")
     c, h, w = a.shape
     if h % 2 or w % 2:
         raise OddDimensionError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    blocks = a.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    flat = blocks.reshape(c, h // 2, w // 2, 4)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    blocks = a.data.reshape(c, h // 2, 2, w // 2, 2)
+    rows = np.maximum(blocks[..., 1], blocks[..., 0])
+    out_data = np.maximum(rows[:, :, 1], rows[:, :, 0])
 
     def backward(g):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-        ga = gflat.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-        a._accumulate(ga)
+        ga = np.empty_like(blocks)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for i in (0, 1):
+            for j in (0, 1):
+                hit = (blocks[:, :, i, :, j] == out_data) & ~taken
+                taken |= hit
+                ga[:, :, i, :, j] = np.where(hit, g, 0.0)
+        a._accumulate(ga.reshape(c, h, w))
 
     return _record(out_data, (a,), backward)
 
 
 def upsample2(a) -> Tensor:
-    """Nearest-neighbor x2 upsampling on (C,H,W)."""
+    """Nearest-neighbor x2 upsampling on (C,H,W).
+
+    The backward sums each 2x2 block of g as (g00 + g01) + (g10 + g11): the
+    order in which numpy sums reshape(c, h, 2, w, 2) over its two length-2
+    axes. That sum starts from +0.0, so where it reads +0.0 a block of four
+    -0.0 reads -0.0 here; the input's first accumulation adds +0.0, so its
+    gradient holds the same bytes either way.
+    """
     a = as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeMismatchError(f"upsample2 wants (C,H,W), got {a.shape}")
     out_data = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
 
     def backward(g):
-        c, h2, w2 = g.shape
-        a._accumulate(g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
+        c, h, w = a.shape
+        blocks = g.reshape(c, h, 2, w, 2)
+        rows = blocks[..., 0] + blocks[..., 1]
+        a._accumulate(rows[:, :, 0] + rows[:, :, 1])
 
     return _record(out_data, (a,), backward)
 

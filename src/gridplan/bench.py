@@ -224,6 +224,12 @@ def environment() -> dict:
             "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
 
 
+def write_environment(path) -> None:
+    """Write environment() to path as JSON."""
+    env = json.dumps(environment(), indent=1, sort_keys=True)
+    Path(path).write_text(env + "\n", encoding="ascii")
+
+
 @dataclass(frozen=True)
 class BenchReport:
     instance_rows: list
@@ -249,8 +255,7 @@ def run_benchmark(plan: TrialPlan, methods, out_dir, threads: int = 1,
         raise ValueError(f"duplicate method names: {names}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = json.dumps(environment(), indent=1, sort_keys=True)
-    (out_dir / "env.json").write_text(env + "\n", encoding="ascii")
+    write_environment(out_dir / "env.json")
     trials = plan_trials(plan)
 
     def metric_rows(trial: Trial) -> list[dict]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .autodiff import CHECKPOINT_MAGIC
 from .bench import (MAP_KINDS, TrialPlan, environment, load_plan, make_method,
-                    run_benchmark)
+                    run_benchmark, write_environment)
 from .encoder import Arch, save_model
 from .errors import DivergenceError, GridplanError
 from .grid import (MAP_FORMAT_VERSION, Coord, PlanInstance, generate_map,
@@ -227,16 +227,20 @@ def cmd_train(args) -> int:
                   f" val_AL={entry.val_al:.3f} val_Exp={entry.val_exp:.2f}"
                   f" ({entry.wall_s:.1f}s)", file=sys.stderr)
 
+    # the checkpoint's and log's bytes depend on the BLAS thread count
+    env_path = f"{args.out}.env.json"
     try:
         model, stats = train(train_instances, val_instances, config, arch=arch,
                              progress=progress)
     except DivergenceError as exc:
         if exc.model is not None:
             save_model(exc.model, args.out)
+        write_environment(env_path)
         write_training_log(exc.log or [], args.log)
         print(f"error: {exc} (last good weights saved)", file=sys.stderr)
         return 1
     save_model(model, args.out)
+    write_environment(env_path)
     write_training_log(stats, args.log)
     write_al_curve(stats, Path(args.log).with_suffix(".dat"))
     return 0

@@ -346,3 +346,63 @@ def forced_dirs_reference(occupancy: np.ndarray, r: int, c: int, dr: int, dc: in
         pairs = [((-dr, 0), (-dr, dc)), ((0, -dc), (dr, -dc))]
     return [turn for (wr, wc), turn in pairs
             if blocked(r + wr, c + wc) and not blocked(r + turn[0], c + turn[1])]
+
+
+# The encoder's pooling, upsampling and first gradient accumulation as they
+# were written before they became strided-view and one-pass forms, kept as
+# references: the package's versions must match them byte for byte.
+
+
+def reference_maxpool2(a):
+    """2x2 max pooling with stride 2 on (C,H,W); ties go to the first index."""
+    from gridplan.autodiff import _record, as_tensor
+    from gridplan.errors import OddDimensionError, ShapeMismatchError
+
+    a = as_tensor(a)
+    if a.data.ndim != 3:
+        raise ShapeMismatchError(f"maxpool2 wants (C,H,W), got {a.shape}")
+    c, h, w = a.shape
+    if h % 2 or w % 2:
+        raise OddDimensionError(f"maxpool2 needs even spatial dims, got {h}x{w}")
+    blocks = a.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
+    flat = blocks.reshape(c, h // 2, w // 2, 4)
+    idx = flat.argmax(axis=-1)
+    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
+        ga = gflat.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        a._accumulate(ga)
+
+    return _record(out_data, (a,), backward)
+
+
+def reference_upsample2(a):
+    """Nearest-neighbor x2 upsampling on (C,H,W)."""
+    from gridplan.autodiff import _record, as_tensor
+    from gridplan.errors import ShapeMismatchError
+
+    a = as_tensor(a)
+    if a.data.ndim != 3:
+        raise ShapeMismatchError(f"upsample2 wants (C,H,W), got {a.shape}")
+    out_data = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
+
+    def backward(g):
+        c, h2, w2 = g.shape
+        a._accumulate(g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
+
+    return _record(out_data, (a,), backward)
+
+
+def reference_accumulate(self, g):
+    """Tensor._accumulate with its first gradient added onto zeros."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike np.array_equal, -0.0 != +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -16,7 +16,15 @@ from gridplan.errors import (
 
 from . import fd_cases
 from .fd_cases import OP_CASES
-from .helpers import conv2d_grad_oracle, conv2d_oracle, relative_error
+from .helpers import (
+    conv2d_grad_oracle,
+    conv2d_oracle,
+    reference_accumulate,
+    reference_maxpool2,
+    reference_upsample2,
+    relative_error,
+    same_bytes,
+)
 
 
 class TestForwardExamples:
@@ -142,6 +150,97 @@ class TestResample:
         assert np.array_equal(out.data, [[[1, 1, 2, 2], [1, 1, 2, 2]]])
 
 
+class Handed(ad.Tensor):
+    """A leaf that keeps the array an op's backward hands it, as handed."""
+
+    __slots__ = ("handed",)
+
+    def _accumulate(self, g):
+        self.handed = np.array(g, copy=True)
+
+
+def signed_zeros(rng, values: np.ndarray) -> np.ndarray:
+    """values with each zero given a random sign."""
+    signs = rng.choice([-1.0, 1.0], size=values.shape)
+    return np.where(values == 0, np.copysign(0.0, signs), values)
+
+
+def blocks_of(values, count: int) -> np.ndarray:
+    """Every 2x2 block over `values`, as (count, 2, 2) in row-major order."""
+    grid = np.array(np.meshgrid(*[values] * 4, indexing="ij")).reshape(4, -1).T
+    assert grid.shape[0] == count
+    return grid.reshape(count, 2, 2)
+
+
+POOL_SHAPES = [(1, 2, 2), (3, 2, 6), (16, 32, 32)]
+# Small integers force 2-, 3- and 4-way ties; {-1, -0.0, +0.0} puts zeros of
+# both signs into one block.
+TIE_VALUES = {"ints 0-1": [0.0, 1.0], "ints 0-2": [0.0, 1.0, 2.0],
+              "signed zeros": [-1.0, -0.0, 0.0]}
+
+
+class TestResampleBits:
+    """maxpool2 and upsample2 against the reference ops, byte for byte.
+
+    Each check compares the forward, the array the op's backward hands to
+    its input (before any accumulation could turn -0.0 into +0.0) and the
+    input's gradient after a full backward.
+    """
+
+    @staticmethod
+    def compare(op, reference, x, g, zero_sign_of_handed=True):
+        outs = []
+        for fn in (op, reference):
+            leaf = Handed(x, requires_grad=True)
+            y = fn(leaf)
+            y._backward(g)
+            full = ad.Tensor(x, requires_grad=True)
+            fn(full).backward(g)
+            outs.append([y.data, leaf.handed, full.grad])
+        if not zero_sign_of_handed:
+            # the reference's numpy sum starts from +0.0 and never hands -0.0
+            assert same_bytes(outs[1][1], outs[1][1] + 0.0)
+            outs[0][1] = outs[0][1] + 0.0
+        for new, ref, what in zip(*outs, ("forward", "handed gradient", "leaf gradient")):
+            assert same_bytes(new, ref), what
+
+    @pytest.mark.parametrize("values", sorted(TIE_VALUES))
+    def test_maxpool_every_block(self, values):
+        vals = TIE_VALUES[values]
+        x = blocks_of(vals, len(vals) ** 4)
+        rng = np.random.default_rng(len(vals))
+        for g in (np.full((x.shape[0], 1, 1), -0.0), np.full((x.shape[0], 1, 1), -2.5),
+                  signed_zeros(rng, rng.integers(-3, 4, size=(x.shape[0], 1, 1)).astype(float))):
+            self.compare(ad.maxpool2, reference_maxpool2, x, g)
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    @pytest.mark.parametrize("values", sorted(TIE_VALUES))
+    def test_maxpool_random_ties(self, shape, values):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.choice(TIE_VALUES[values], size=shape)
+        half = (shape[0], shape[1] // 2, shape[2] // 2)
+        g = signed_zeros(rng, rng.integers(-3, 4, size=half).astype(float))
+        self.compare(ad.maxpool2, reference_maxpool2, x, g)
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_maxpool_relu_outputs(self, shape):
+        rng = np.random.default_rng(7)
+        x = np.maximum(signed_zeros(rng, rng.normal(size=shape).round(1)), 0.0)
+        half = (shape[0], shape[1] // 2, shape[2] // 2)
+        self.compare(ad.maxpool2, reference_maxpool2, x, -np.abs(rng.normal(size=half)))
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_upsample(self, shape):
+        rng = np.random.default_rng(3)
+        half = (shape[0], shape[1] // 2, shape[2] // 2)
+        x = signed_zeros(rng, rng.integers(-2, 3, size=half).astype(float))
+        # magnitudes over 16 decades, so the order of the block sum shows
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        g[rng.random(shape) < 0.3] = -0.0
+        g[:, :2, :2] = -0.0  # one block of four -0.0 per channel
+        self.compare(ad.upsample2, reference_upsample2, x, g, zero_sign_of_handed=False)
+
+
 class TestSelectionSum:
     # Two steps on a 2x3 grid: cell 0 alone, then cell 4 out of {1, 3, 4}.
     TAPE = dict(selected=[0, 4], cells=[0, 1, 3, 4], scores=[0.0, 2.0, 1.5, 1.0],
@@ -239,6 +338,79 @@ class TestGraphMechanics:
             return ad.sigmoid(ad.conv2d(x, k, ad.Tensor(rng.normal(size=3)))).data
 
         assert np.array_equal(run(), run())
+
+
+def assert_owned(grads, *upstream):
+    """No two gradients, and no gradient and upstream array, share memory."""
+    arrays = list(grads) + list(upstream)
+    for i, a in enumerate(grads):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientOwnership:
+    def test_add_inputs_own_their_gradients(self):
+        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        y = ad.add(a, b)
+        seed = np.arange(6.0).reshape(2, 3)
+        y.backward(seed)
+        assert np.array_equal(a.grad, seed) and np.array_equal(b.grad, seed)
+        assert_owned([a.grad, b.grad, y.grad], seed)
+
+    def test_reshape_input_owns_its_gradient(self):
+        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        y = ad.reshape(a, (3, 2))
+        seed = -np.arange(6.0).reshape(3, 2)
+        y.backward(seed)
+        assert np.array_equal(a.grad, seed.reshape(2, 3))
+        assert_owned([a.grad, y.grad], seed)
+
+    def test_concat_slices_own_their_gradients(self):
+        parts = [ad.Tensor(np.ones((c, 2, 2)), requires_grad=True) for c in (1, 2)]
+        y = ad.concat_channels(parts)
+        seed = np.arange(12.0).reshape(3, 2, 2)
+        y.backward(seed)
+        assert np.array_equal(parts[0].grad, seed[:1])
+        assert np.array_equal(parts[1].grad, seed[1:])
+        assert_owned([p.grad for p in parts] + [y.grad], seed)
+
+    def test_seed_untouched_and_second_backward_adds(self):
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        seed = np.array([[1.0, -2.0], [-0.0, 4.0]])
+        kept = seed.copy()
+        ad.reshape(x, (4,)).backward(seed.reshape(4))
+        first = x.grad
+        ad.reshape(x, (4,)).backward(seed.reshape(4))
+        assert same_bytes(seed, kept)
+        assert x.grad is first  # the second accumulation adds in place
+        assert np.array_equal(x.grad, 2 * kept)
+        assert not np.shares_memory(x.grad, seed)
+
+    def test_first_accumulation_matches_zero_fill(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        values = signed_zeros(rng, rng.integers(-2, 3, size=(3, 4)).astype(float))
+        seeds = [signed_zeros(rng, rng.integers(-2, 3, size=(3, 4)).astype(float)),
+                 np.full((3, 4), -0.0)]
+
+        def run():
+            grads = []
+            for seed in seeds:
+                x = ad.Tensor(values, requires_grad=True)
+                s = ad.Tensor(np.array(2.0), requires_grad=True)
+                y = ad.add(x, ad.scale(x, -1.0))
+                y.backward(seed)
+                ad.inner(x, x).backward()
+                ad.inner(s, s).backward()
+                grads += [x.grad, s.grad, y.grad]
+            return grads
+
+        new = run()
+        monkeypatch.setattr(ad.Tensor, "_accumulate", reference_accumulate)
+        ref = run()
+        for a, b in zip(new, ref):
+            assert type(a) is type(b) is np.ndarray
+            assert same_bytes(a, b)
 
 
 class TestFiniteDifferences:

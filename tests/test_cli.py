@@ -13,6 +13,7 @@ from gridplan import bench, cli
 from gridplan.classical import astar, jps
 from gridplan.cli import build_parser, main
 from gridplan.encoder import Arch, init_model, predict_bias, save_model
+from gridplan.errors import DivergenceError
 from gridplan.grid import (GENERATOR_KINDS, Coord, GridMap, PlanInstance, generate_map,
                            load_map, sample_instance, save_map)
 from gridplan.training import TrainConfig
@@ -315,6 +316,27 @@ class TestTrain:
         assert (out / "log.dat").exists()
         header = (out / "log.csv").read_text().splitlines()[0]
         assert header == "epoch,mean_area,mean_length,mean_total,val_AL,val_Exp,wall_s"
+
+    def test_records_environment_beside_checkpoint(self, train_args):
+        args, out = train_args
+        assert main(args) == 0
+        env = json.loads((out / "model.ckpt.env.json").read_text(encoding="ascii"))
+        assert set(env) == {"nproc", "python", "numpy", "blas_thread_env"}
+        assert set(env["blas_thread_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+    def test_divergence_records_environment(self, map_dir, tmp_path, monkeypatch, capsys):
+        def diverge(train_instances, val_instances, config, arch, progress):
+            raise DivergenceError("loss is nan", model=init_model(Arch(depth=1, base=4)))
+
+        monkeypatch.setattr(cli, "train", diverge)
+        rc = main(["train", "--data", str(map_dir), "--out", str(tmp_path / "m.ckpt"),
+                   "--log", str(tmp_path / "l.csv"), "--quiet"])
+        assert rc == 1
+        assert "last good weights saved" in capsys.readouterr().err
+        assert (tmp_path / "m.ckpt").exists()
+        env = json.loads((tmp_path / "m.ckpt.env.json").read_text(encoding="ascii"))
+        assert set(env) == {"nproc", "python", "numpy", "blas_thread_env"}
 
     def test_deterministic_modulo_wall_clock(self, train_args, tmp_path):
         args, out = train_args

@@ -21,7 +21,13 @@ from gridplan.errors import (
 )
 from gridplan.grid import generate_map, sample_instance
 
-from .helpers import make_instances
+from .helpers import (
+    make_instances,
+    reference_accumulate,
+    reference_maxpool2,
+    reference_upsample2,
+    same_bytes,
+)
 
 
 def small_arch():
@@ -205,6 +211,36 @@ class TestTranslationCovariance:
         pa, pb = self.fields(Arch(), 10, base, moved)
         assert np.ptp(pa[:, 96:128]) > 0
         assert np.array_equal(pa[:, 96:128], pb[:, 128:160])
+
+
+class TestReferenceOps:
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_bias_and_gradients_match_reference_ops(self, size, monkeypatch):
+        """predict_bias and every parameter gradient, byte for byte, with the
+        reference maxpool2, upsample2 and zero-fill accumulation swapped in."""
+        model = init_model(Arch(), seed=4)
+        rng = np.random.default_rng(size)
+        head = model.params["head.w"]
+        head.data[...] = rng.normal(size=head.shape)
+        inst = make_instances(1, size=size, seed=size, kinds=("rooms",))[0]
+        upstream = rng.normal(size=inst.grid.occupancy.shape)
+        upstream[::3] = -0.0
+
+        def run():
+            model.zero_grads()
+            bias = predict_bias(model, inst, record_graph=True)
+            bias.backward(upstream)
+            return [bias.data] + [model.params[k].grad for k in sorted(model.params)]
+
+        new = run()
+        monkeypatch.setattr(ad, "maxpool2", reference_maxpool2)
+        monkeypatch.setattr(ad, "upsample2", reference_upsample2)
+        monkeypatch.setattr(ad.Tensor, "_accumulate", reference_accumulate)
+        ref = run()
+        assert len(new) == len(ref) == 1 + len(model.params)
+        for a, b in zip(new, ref):
+            assert same_bytes(a, b)
+        assert all(np.abs(g).max() > 0 for g in new[1:])
 
 
 class TestInstanceTensor:
