@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import astar, dijkstra, jps, octile_matrix, weighted_bias
+from .classical import astar, check_weight, dijkstra, jps, octile_matrix, weighted_bias
 from .diffsearch import search
 from .encoder import load_model, predict_bias
 from .errors import UnreachableGoalError
@@ -114,16 +114,13 @@ class Method:
 
 
 def _wastar_weight(spec: str) -> float:
-    weight = float(spec.partition(":")[2])
-    if weight < 1.0:
-        raise ValueError(f"wastar weight must be >= 1, got {weight}")
-    return weight
+    return check_weight(float(spec.partition(":")[2]))
 
 
 def bias_source(spec: str):
     """Parse a selection-bias spec; returns (field, optimal).
 
-    Grammar: zero | wastar:W | model:CKPT | model=CKPT, with W >= 1.
+    Grammar: zero | wastar:W | model:CKPT | model=CKPT, with W finite and >= 1.
     field(instance) is the bias for that instance, None for zero bias; a
     model checkpoint is loaded once, here. optimal tells whether searches
     under the field return optimal paths.

@@ -24,10 +24,11 @@ step off the map lands on the ring, and no step wraps from one row's end to
 the next row's start, so no bounds test is needed. p rises with row-major
 order, so (score, h, p) breaks ties exactly as (score, h, flat index) does.
 
-Per expansion the engine touches only Python ints, floats and one
-bytearray, never numpy scalars:
-- one `blocked` table holds the obstacles, the ring and, as the search
-  goes, the closed cells, so each neighbour needs a single test;
+Per expansion the engine touches only Python ints, floats and lists,
+never numpy scalars:
+- one `blocked` list of 0/1 ints holds the obstacles, the ring and, as the
+  search goes, the closed cells, so each neighbour needs a single test.
+  CPython subscripts a list faster than a bytearray;
 - g is a list pre-filled with inf, indexed by p;
 - h and bias are read through memoryviews of padded float64 copies, which
   yield Python floats of the same float64 values. (g + h) + bias is then the
@@ -37,16 +38,28 @@ h stays a precomputed matrix: octile per push, even written inline, costs
 several times a memoryview read, and more over a query than one
 octile_matrix call.
 
+The eight neighbours are relaxed in eight straight-line blocks, one per
+NEIGHBOR_OFFSETS entry and in its order, not in a loop over the offsets;
+each tests `not blocked[q] and cand < g[q]`. g + sqrt(2) and g + 1 are
+added once per expansion, the same float64 additions a per-step g + cost
+makes. Heap entries are (score, h, p), deletion is lazy: a superseded
+entry stays in the heap and is skipped when it pops, its cell closed by
+then, and g is read as g[p] when p pops open. _biased_search's docstring
+gives why this pops cells in the same order as entries that carry g.
+
 The expansion order and the path are kept as padded ints. The path is
 converted at the end, vectorised, into Coords and the path matrix; the
-closed matrix is the search's own closed table cropped to the map; the
+closed matrix is the scatter of the visit order, whose cost grows with the
+expansions, not with the map as a conversion of the list table would; the
 visit order becomes Coords only when a caller first reads expansion_order.
 A tape's derived arrays hold unpadded flat indices r * W + c.
 
 Jump point search scans in the same padded space. A scan asks only whether
 a cell has a forced neighbour, a yes/no written inline in the scan loop;
 the list of forced directions (_forced_dirs) is built only where
-successors need it.
+successors need it. Each successor's step cost and h are octile distances
+written inline on the ints from divmod, and its heap entries are
+(f, h, p) with g read at pop, as in the engine.
 
 Planners return what they found, not how long it took: a caller that needs
 wall time (cli plan, bench) times the call, so that the clock covers the
@@ -71,6 +84,8 @@ SQRT2 = math.sqrt(2.0)
 # Row-major scan of the 3x3 neighborhood, center excluded. Relaxation order
 # is part of the planner contract: with strict-improvement updates the first
 # equal-cost offer wins, so every search in the package must use this order.
+# _biased_search's eight unrolled neighbour blocks follow it, and so fix the
+# order of a SelectionTape's pushes.
 NEIGHBOR_OFFSETS = (
     (-1, -1, SQRT2), (-1, 0, 1.0), (-1, 1, SQRT2),
     (0, -1, 1.0), (0, 1, 1.0),
@@ -128,9 +143,13 @@ def _padded(array: np.ndarray, fill, dtype) -> np.ndarray:
     return out.ravel()
 
 
-def _blocked_table(occupancy: np.ndarray) -> bytearray:
-    """Per padded index, 1 for an obstacle or ring cell and 0 for a free one."""
-    return bytearray(_padded(occupancy, 1, np.uint8))
+def _blocked_table(occupancy: np.ndarray) -> list[int]:
+    """Per padded index, 1 for an obstacle or ring cell and 0 for a free one.
+
+    A list, not a bytearray: CPython subscripts a list on a faster path.
+    list() over the bytes builds it faster than ndarray.tolist().
+    """
+    return list(_padded(occupancy, 1, np.uint8).tobytes())
 
 
 def _rows_cols(padded: list[int], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +171,14 @@ def _backtrack(parent, start: int, goal: int) -> list[int]:
         chain.append(parent[chain[-1]])
     chain.reverse()
     return chain
+
+
+def _scatter(order: list[int], shape: tuple[int, int]) -> np.ndarray:
+    """The 0/1 uint8 matrix of the map cells whose padded indices order lists."""
+    height, width = shape
+    table = np.zeros((height + 2) * (width + 2), dtype=np.uint8)
+    table[order] = 1
+    return table.reshape(height + 2, width + 2)[1:-1, 1:-1].copy()
 
 
 def _crop(table: bytearray, shape: tuple[int, int]) -> np.ndarray:
@@ -177,10 +204,20 @@ def _result(path: list[int], order: list[int], closed: np.ndarray, cost: float,
     )
 
 
+def check_weight(weight: float) -> float:
+    """weight itself if it is a weighted-A* weight, finite and >= 1.
+
+    NaN would make scores that do not compare, and an infinite weight
+    prices the goal's cell at inf * 0.
+    """
+    if not (math.isfinite(weight) and weight >= 1.0):
+        raise ValueError(f"weight must be finite and >= 1, got {weight}")
+    return weight
+
+
 def astar(instance: PlanInstance, weight: float = 1.0) -> SearchResult:
     """A* with octile heuristic; weight > 1 gives the greedy weighted variant."""
-    if weight < 1.0:
-        raise ValueError(f"weight must be >= 1, got {weight}")
+    check_weight(weight)
     grid = instance.grid
     h_mat = octile_matrix(grid.shape, instance.goal)
     bias = weighted_bias(h_mat, weight)
@@ -266,14 +303,21 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
 
     Shared engine for dijkstra (h = bias = 0), A* (bias = 0), weighted A*
     (bias = (w-1)h), and arbitrary-bias runs driven by a trained model.
-    Closed nodes are never reopened; lazy heap deletion with a stored-g
-    staleness check. With a tape, every push and expansion is recorded on it.
+    Closed nodes are never reopened. A heap entry is (score, h, p); an entry
+    that a later push of its cell supersedes stays in the heap and is
+    skipped when it pops, its cell closed by then, and g is read as g[p]
+    when p pops open. This pops cells in the order that entries carrying
+    their g, (score, h, p, g), with a staleness test would: a later push of
+    p has a strictly lower g, so, float addition being monotone, a score no
+    higher, with the same h and p. Under the 4-tuples that push popped
+    first; under the 3-tuples the two tie as equal entries, and either
+    gives the same g[p]. Every later pop of p finds p closed. The argument
+    needs scores that compare, which is why callers reject NaN.
+    With a tape, every push and expansion is recorded on it.
     """
     grid = instance.grid
-    width = grid.shape[1]
-    pw = width + 2
+    pw = grid.shape[1] + 2
     blocked = _blocked_table(grid.occupancy)
-    steps = [(dr * pw + dc, cost) for dr, dc, cost in NEIGHBOR_OFFSETS]
     start = (instance.start.row + 1) * pw + instance.start.col + 1
     goal = (instance.goal.row + 1) * pw + instance.goal.col + 1
 
@@ -284,43 +328,116 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     parent = [0] * len(blocked)
     order: list[int] = []
     heappush, heappop = heapq.heappush, heapq.heappop
-    f0 = (0.0 + h_pad[start]) + bias_pad[start]
-    heap: list[tuple[float, float, int, float]] = [(f0, h_pad[start], start, 0.0)]
+    h = h_pad[start]
+    f = (0.0 + h) + bias_pad[start]
+    heap: list[tuple[float, float, int]] = [(f, h, start)]
     recording = tape is not None
     if recording:
         pushed = tape.pushed
         push_cell, push_score, mark = pushed.append, tape.pushed_scores.append, tape.marks.append
         push_cell(start)
-        push_score(f0)
+        push_score(f)
 
     while heap:
-        _, _, p, g_here = heappop(heap)
-        if blocked[p] or g_here != g[p]:
+        _, _, p = heappop(heap)
+        if blocked[p]:
             continue
         if recording:
             mark(len(pushed))
         blocked[p] = 1
         order.append(p)
+        g_here = g[p]
         if p == goal:
             if recording:
                 tape.finish(order, grid.shape)
-            # Inside the ring, blocked holds the obstacles and the closed cells.
-            closed = _crop(blocked, grid.shape) - grid.occupancy
-            return _result(_backtrack(parent, start, goal), order, closed, g_here)
-        for step, cost in steps:
-            q = p + step
-            if blocked[q]:
-                continue
-            cand = g_here + cost
-            if cand < g[q]:
-                g[q] = cand
-                parent[q] = p
-                h = h_pad[q]
-                f = (cand + h) + bias_pad[q]
-                heappush(heap, (f, h, q, cand))
-                if recording:
-                    push_cell(q)
-                    push_score(f)
+            return _result(_backtrack(parent, start, goal), order,
+                           _scatter(order, grid.shape), g_here)
+        # One block per neighbour, in NEIGHBOR_OFFSETS order; cd and cs are
+        # the g that a diagonal and a straight step offer.
+        cd = g_here + SQRT2
+        cs = g_here + 1.0
+        above = p - pw
+        q = above - 1
+        if not blocked[q] and cd < g[q]:
+            g[q] = cd
+            parent[q] = p
+            h = h_pad[q]
+            f = (cd + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = above
+        if not blocked[q] and cs < g[q]:
+            g[q] = cs
+            parent[q] = p
+            h = h_pad[q]
+            f = (cs + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = above + 1
+        if not blocked[q] and cd < g[q]:
+            g[q] = cd
+            parent[q] = p
+            h = h_pad[q]
+            f = (cd + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = p - 1
+        if not blocked[q] and cs < g[q]:
+            g[q] = cs
+            parent[q] = p
+            h = h_pad[q]
+            f = (cs + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = p + 1
+        if not blocked[q] and cs < g[q]:
+            g[q] = cs
+            parent[q] = p
+            h = h_pad[q]
+            f = (cs + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        below = p + pw
+        q = below - 1
+        if not blocked[q] and cd < g[q]:
+            g[q] = cd
+            parent[q] = p
+            h = h_pad[q]
+            f = (cd + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = below
+        if not blocked[q] and cs < g[q]:
+            g[q] = cs
+            parent[q] = p
+            h = h_pad[q]
+            f = (cs + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
+        q = below + 1
+        if not blocked[q] and cd < g[q]:
+            g[q] = cd
+            parent[q] = p
+            h = h_pad[q]
+            f = (cd + h) + bias_pad[q]
+            heappush(heap, (f, h, q))
+            if recording:
+                push_cell(q)
+                push_score(f)
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"
@@ -344,7 +461,7 @@ def _guards(pw: int, dr: int, dc: int) -> tuple[tuple[int, int], tuple[int, int]
     return (-vr, dc - vr), (-dc, vr - dc)
 
 
-def _forced_dirs(blocked: bytearray, p: int, guards) -> list[int]:
+def _forced_dirs(blocked: list[int], p: int, guards) -> list[int]:
     """Forced directions, as padded steps, at p for one travel's guards."""
     return [turn for wall, turn in guards if blocked[p + wall] and not blocked[p + turn]]
 
@@ -362,7 +479,6 @@ def jps(instance: PlanInstance) -> SearchResult:
     blocked = _blocked_table(grid.occupancy)
     start = (instance.start.row + 1) * pw + instance.start.col + 1
     goal = (instance.goal.row + 1) * pw + instance.goal.col + 1
-    goal_rc = divmod(goal, pw)
 
     visited = bytearray(len(blocked))
     order: list[int] = []
@@ -407,34 +523,42 @@ def jps(instance: PlanInstance) -> SearchResult:
     g = {start: 0.0}
     parent: dict[int, int] = {}
     expanded = bytearray(len(blocked))
-    h0 = octile(divmod(start, pw), goal_rc)
-    heap = [(h0, h0, start, 0.0)]
+    # Octile distances are priced inline, as octile() does, on the ints
+    # from divmod: the larger offset plus k times the smaller one.
+    k = SQRT2 - 1.0
+    goal_r, goal_c = divmod(goal, pw)
+    h = octile(divmod(start, pw), (goal_r, goal_c))
+    heap = [(h, h, start)]
+    heappush, heappop = heapq.heappush, heapq.heappop
     pops = 0
 
     while heap:
-        _, _, p, g_here = heapq.heappop(heap)
-        if expanded[p] or g_here != g[p]:
+        _, _, p = heappop(heap)
+        if expanded[p]:
             continue
         expanded[p] = 1
         pops += 1
         if not visited[p]:
             visited[p] = 1
             order.append(p)
+        g_here = g[p]
         if p == goal:
             chain = _backtrack(parent, start, goal)
             return _result(_interpolate(chain, pw), order, _crop(visited, grid.shape).copy(),
                            g_here, jump_pops=pops)
-        here = divmod(p, pw)
+        r, c = divmod(p, pw)
         for jp in successors(p, parent.get(p)):
             if expanded[jp]:
                 continue
-            jp_rc = divmod(jp, pw)
-            cand = g_here + octile(here, jp_rc)
+            jr, jc = divmod(jp, pw)
+            dr, dc = abs(jr - r), abs(jc - c)
+            cand = g_here + (dr + k * dc if dr > dc else dc + k * dr)
             if cand < g.get(jp, math.inf):
                 g[jp] = cand
                 parent[jp] = p
-                h = octile(jp_rc, goal_rc)
-                heapq.heappush(heap, (cand + h, h, jp, cand))
+                dr, dc = abs(jr - goal_r), abs(jc - goal_c)
+                h = dr + k * dc if dr > dc else dc + k * dr
+                heappush(heap, (cand + h, h, jp))
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"

@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .classical import SearchResult, SelectionTape, _biased_search, octile_matrix
-from .errors import ShapeMismatchError
+from .errors import NonFiniteBiasError, ShapeMismatchError
 from .grid import PlanInstance
 
 
@@ -66,7 +66,8 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
     the sum of the per-expansion one-hot selections, giving the trainer its
     route into the selection softmax at temperature sqrt(H*W), so the logit
     spread tracks map size. The backtrace itself is discrete and outside the
-    graph, so mu never carries a gradient.
+    graph, so mu never carries a gradient. A bias holding NaN or an
+    infinity raises NonFiniteBiasError.
     """
     shape = instance.grid.shape
     if bias is None:
@@ -75,12 +76,17 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
         bias = Tensor(np.asarray(bias, dtype=np.float64))
     if bias.shape != shape:
         raise ShapeMismatchError(f"bias shape {bias.shape} != map shape {shape}")
+    # NaN spreads through min() and max(), so the two are finite exactly
+    # when the bias is. Scores must compare for the engine's pop order.
+    low, high = bias.data.min(), bias.data.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise NonFiniteBiasError(f"bias holds a non-finite value (min {low}, max {high})")
     # Selection sees the bias relative to its minimum, held constant in the
     # backward. A constant field is then exactly zero bias and plans like
     # classical A*, instead of re-rounding (S + H) + c so that the h
     # tie-break settles scores that tie only in exact arithmetic. Fields
     # with minimum 0, such as weighted_bias, pass through unchanged.
-    shifted = bias.data - bias.data.min()
+    shifted = bias.data - low
     tape = SelectionTape() if ad.grad_enabled() and bias.requires_grad else None
     found = _biased_search(instance, octile_matrix(shape, instance.goal), shifted, tape)
 

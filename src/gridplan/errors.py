@@ -41,6 +41,10 @@ class UnreachableGoalError(GridplanError):
     """No path from start to goal under the movement model."""
 
 
+class NonFiniteBiasError(GridplanError, ValueError):
+    """A selection bias field holds NaN or an infinity."""
+
+
 # --- tensors / autodiff ---
 
 class ShapeMismatchError(GridplanError, ValueError):
@@ -74,9 +78,9 @@ class DimensionUnderflowError(GridplanError, ValueError):
 
 
 class DivergenceError(GridplanError):
-    """Training loss became non-finite.
+    """Training loss or gradient norm became non-finite.
 
-    Carries the last finite-loss model so callers can checkpoint it.
+    Carries the last completed epoch's model so callers can checkpoint it.
     """
 
     def __init__(self, message, model=None, log=None):

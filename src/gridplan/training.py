@@ -297,9 +297,9 @@ def train(train_instances, val_instances, config: TrainConfig,
     average of the weights over the optimizer steps (WEIGHT_AVERAGE_DECAY);
     after a single step it is that step's weights. A supplied model is
     updated in place with the raw iterates. Deterministic given config.seed
-    (and the initial model, when supplied). On a non-finite loss the loop
-    aborts with DivergenceError carrying the last completed epoch's averaged
-    weights and the statistics so far.
+    (and the initial model, when supplied). On a non-finite loss or
+    gradient norm the loop aborts with DivergenceError carrying the last
+    completed epoch's averaged weights and the statistics so far.
     """
     if not train_instances:
         raise ValueError("empty training set")
@@ -347,7 +347,14 @@ def train(train_instances, val_instances, config: TrainConfig,
             for p in model.params.values():
                 if p.grad is not None:
                     p.grad /= len(batch)
-            clip_gradients(model.params, GRAD_CLIP)
+            # A NaN gradient passes clipping unscaled, since nan > max_norm
+            # is False; stop before Adam takes it into its moments.
+            if not math.isfinite(clip_gradients(model.params, GRAD_CLIP)):
+                raise DivergenceError(
+                    f"non-finite gradient norm at epoch {epoch}",
+                    model=last_good,
+                    log=stats,
+                )
             optimizer.step()
             steps += 1
             if steps == 1:

@@ -128,6 +128,14 @@ class TestBiasSource:
         with pytest.raises(ValueError):
             bias_source(spec)
 
+    @pytest.mark.parametrize("spec", ["wastar:nan", "wastar:inf", "wastar:-inf"])
+    def test_non_finite_weights_rejected(self, spec):
+        # The same check as astar's, so dastar:wastar:W and wastar:W agree.
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            bias_source(spec)
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            make_method(spec)
+
     def test_each_spelling_gives_one_field_through_plan_and_bench(
             self, tmp_path, monkeypatch, capsys):
         model = init_model(Arch(depth=2, base=4), seed=8)

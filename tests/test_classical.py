@@ -447,3 +447,82 @@ class TestEngineOnEdgeShapes:
             assert found.expansions == len(found.expansion_order) \
                 == int(found.closed_matrix.sum())
         assert abs(jps(inst).cost - dijkstra(inst).cost) < 1e-9
+
+
+def assert_engine_matches_dense(inst, bias):
+    """The engine against dense_search: order, path, repr(cost), each step's
+    open cells and scores, and each expansion's pushes in row-major order.
+
+    The last is what fixes a tape's push order: the engine offers the
+    neighbours in NEIGHBOR_OFFSETS order, which is row-major. An expansion
+    pushes every cell whose score it changed, and only open neighbours; a
+    g lowered by one ulp may leave a score unchanged, so those two sets
+    bound the pushes rather than fix them. Returns the tape.
+    """
+    occ = inst.grid.occupancy
+    width = occ.shape[1]
+    tape = SelectionTape()
+    res = _biased_search(inst, octile_matrix(occ.shape, inst.goal), bias - bias.min(), tape)
+    ref = dense_search(occ, inst.start, inst.goal, bias)
+    assert [tuple(c) for c in res.expansion_order] == ref["order"]
+    assert [tuple(c) for c in res.path] == ref["path"]
+    assert repr(res.cost) == repr(ref["cost"])
+    assert tape.selected == [r * width + c for r, c in ref["order"]]
+    for t, (open_mask, score, _) in enumerate(ref["steps"]):
+        cells = tape.cells[tape.starts[t]:tape.starts[t + 1]]
+        assert sorted(cells) == np.flatnonzero(open_mask).tolist()
+        assert (np.asarray(tape.scores[tape.starts[t]:tape.starts[t + 1]]).tobytes()
+                == score.ravel()[cells].tobytes())
+    rows, cols = np.divmod(np.array(tape.pushed), width + 2)
+    pushed = ((rows - 1) * width + cols - 1).tolist()
+    bounds = [*tape.marks, len(pushed)]
+    for t, ((_, before, _), (after_open, after, _)) in enumerate(
+            zip(ref["steps"], ref["steps"][1:])):
+        here = pushed[bounds[t]:bounds[t + 1]]
+        assert here == sorted(set(here)), t
+        r, c = divmod(tape.selected[t], width)
+        assert all(after_open.flat[q] and max(abs(q // width - r), abs(q % width - c)) == 1
+                   for q in here), t
+        assert set(np.flatnonzero(after_open & (after != before)).tolist()) <= set(here), t
+    return tape
+
+
+INTEGER_FIELD_CASES = [(kind, h, w) for h, w in ((17, 23), (32, 32))
+                       for kind in GENERATOR_KINDS]
+
+
+class TestEngineTiesAndSupersededEntries:
+    """Heap entries are (score, h, p) and g is read at pop; ties and
+    superseded entries must still pop as the dense selection rule does."""
+
+    @pytest.mark.parametrize("kind,h,w", INTEGER_FIELD_CASES,
+                             ids=[f"{k}-{h}x{w}" for k, h, w in INTEGER_FIELD_CASES])
+    def test_integer_valued_fields(self, kind, h, w):
+        # Fields in {0, 1, 2} make many scores tie exactly, so the (h, index)
+        # tie-break decides many selections.
+        grid = generate_map(kind, w, h, seed=911 + h + w)
+        rng = np.random.default_rng(h * w)
+        for j in range(3):
+            inst = sample_instance(grid, seed=920 + j)
+            assert_engine_matches_dense(inst, rng.integers(0, 3, grid.shape).astype(np.float64))
+
+    def test_cell_pushed_twice_before_expansion(self):
+        grid = generate_map("rooms", 32, 32, seed=302)
+        inst = sample_instance(grid, seed=402)
+        tape = assert_engine_matches_dense(inst, np.zeros(grid.shape))
+        superseded = [cell for cell in set(tape.expanded.tolist())
+                      if np.count_nonzero(tape.entry_cells == cell) > 1]
+        assert superseded
+
+
+class TestWeightCheck:
+    @pytest.mark.parametrize("weight", [0.5, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_below_one_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            astar(empty_instance(8, (0, 0), (7, 7)), weight=weight)
+        with pytest.raises(ValueError):
+            classical.check_weight(weight)
+
+    def test_valid_weight_returned(self):
+        assert classical.check_weight(1.0) == 1.0
+        assert classical.check_weight(2.5) == 2.5

@@ -181,6 +181,23 @@ class TestPlan:
         assert rc == 1
         assert "p-source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "wastar", "--weight", "nan"],
+        ["--algo", "wastar", "--weight", "inf"],
+        ["--algo", "dastar", "--p-source", "wastar:nan"],
+        ["--algo", "dastar", "--p-source", "wastar:inf"],
+    ], ids=["weight-nan", "weight-inf", "p-source-nan", "p-source-inf"])
+    def test_non_finite_weight_exits_1(self, one_map, flags, capsys):
+        _, free = open_cells(one_map)
+        start, goal = free[0], free[-1]
+        rc = main(["plan", *flags, "--map", str(one_map),
+                   "--start", f"{start.row},{start.col}",
+                   "--goal", f"{goal.row},{goal.col}"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert "error:" in err and "finite" in err
+
     def test_text_metrics_emit(self, one_map, capsys):
         grid, free = open_cells(one_map)
         start, goal = free[0], free[-1]

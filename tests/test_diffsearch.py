@@ -11,7 +11,7 @@ from gridplan.autodiff import Tensor
 from gridplan.classical import (SQRT2, SearchResult, SelectionTape, _biased_search,
                                 astar, dijkstra, octile_matrix, weighted_bias)
 from gridplan.diffsearch import _with_tensors, search
-from gridplan.errors import ShapeMismatchError, UnreachableGoalError
+from gridplan.errors import NonFiniteBiasError, ShapeMismatchError, UnreachableGoalError
 from gridplan.grid import GENERATOR_KINDS, Coord, GridMap, PlanInstance
 from gridplan.training import imperative_loss, supervised_loss
 
@@ -69,6 +69,19 @@ class TestConfig:
         inst = empty_instance(8, (0, 0), (7, 7))
         with pytest.raises(ShapeMismatchError):
             search(inst, bias=np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_non_finite_bias_rejected(self, value, where):
+        inst = empty_instance(8, (0, 0), (7, 7))
+        bias = np.zeros((8, 8))
+        if where == "one":
+            bias[3, 4] = value
+        else:
+            bias[:] = value
+        for field in (bias, Tensor(bias.copy(), requires_grad=True)):
+            with pytest.raises(NonFiniteBiasError):
+                search(inst, bias=field)
 
 
 class TestStateMechanics:

@@ -339,6 +339,29 @@ class TestTrain:
         assert set(info.value.model.params) == set(init_model(arch, seed=2).params)
         assert isinstance(info.value.log, list)
 
+    def test_divergence_guard_catches_a_nan_gradient(self, monkeypatch):
+        # The loss stays finite; one backward writes NaN into a gradient.
+        # Clipping lets NaN through, so without the guard Adam would return
+        # NaN weights.
+        tr, va = tiny_split()
+        cfg = TrainConfig(epochs=3, batch_size=2, seed=2)
+        arch = Arch(depth=2, base=4)
+        calls = {"n": 0}
+        real = Tensor._accumulate
+
+        def poisoned(self, g):
+            calls["n"] += 1
+            real(self, g if calls["n"] != 200 else np.full_like(g, np.nan))
+
+        monkeypatch.setattr(Tensor, "_accumulate", poisoned)
+        with pytest.raises(DivergenceError, match="gradient") as info:
+            train(tr, va, cfg, arch=arch)
+        assert calls["n"] >= 200
+        model = info.value.model
+        assert set(model.params) == set(init_model(arch, seed=2).params)
+        assert all(np.isfinite(p.data).all() for p in model.params.values())
+        assert isinstance(info.value.log, list)
+
     def test_gradient_step_rarely_increases_area(self):
         # With the length weight off, one small step should not grow the
         # closed set on the instance it was taken on, most of the time.
