@@ -2,6 +2,12 @@
 
 Maps are binary row-major matrices: 1 = obstacle, 0 = free. All types are
 immutable after construction; generators are pure functions of their seed.
+
+The generators draw through _Sampler, a function of the raw 64-bit stream of
+np.random.PCG64(seed) alone, not through np.random.Generator. numpy keeps a
+bit generator's raw stream fixed for a seed (NEP 19), while it may change
+the algorithms of Generator methods, and a Generator call costs more in
+argument handling than the draw itself.
 """
 
 from __future__ import annotations
@@ -29,6 +35,56 @@ GENERATOR_KINDS = ("random-blocks", "maze", "rooms")
 # 8-connectivity structuring element for component labelling.
 _CONN8 = np.ones((3, 3), dtype=bool)
 
+# Raw 64-bit outputs fetched per refill. A sampler lives for one map, so the
+# surplus of the last block is simply dropped.
+_RAW_BLOCK = 512
+
+
+def _raw_words(bits: np.random.PCG64):
+    while True:
+        yield from bits.random_raw(_RAW_BLOCK).tolist()
+
+
+class _Sampler:
+    """Draws of np.random.default_rng(seed), read straight off PCG64's raw stream.
+
+    below(n) is Generator.integers(n) for 1 <= n < 2**32 and random() is
+    Generator.random(), by numpy 2.4's own algorithms (Lemire's
+    multiply-and-reject, ACM TOMACS 2019, on 32-bit words; 53 high bits
+    scaled for doubles). As in
+    PCG64's next_uint32, a 32-bit word is the low half of a raw output and
+    the next one its pending high half; random() takes a whole raw output and
+    leaves a pending half for the next word.
+    """
+
+    __slots__ = ("_next64", "_high")
+
+    def __init__(self, seed):
+        self._next64 = _raw_words(np.random.PCG64(seed)).__next__
+        self._high = None
+
+    def _next32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        x = self._next64()
+        self._high = x >> 32
+        return x & 0xFFFFFFFF
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
 
 class Coord(NamedTuple):
     row: int
@@ -48,14 +104,16 @@ class GridMap:
             raise InvalidDimensionsError(
                 f"map must be at least 2x2, got {self.height}x{self.width}"
             )
-        occ = np.ascontiguousarray(self.occupancy, dtype=np.uint8)
+        occ = np.asarray(self.occupancy)
         if occ.shape != (self.height, self.width):
             raise InvalidDimensionsError(
                 f"occupancy shape {occ.shape} does not match "
                 f"(height, width)=({self.height}, {self.width})"
             )
+        # Test the values as given: a cast first would read 257 as 1, 0.5 as 0.
         if not np.isin(occ, (0, 1)).all():
             raise InvalidDimensionsError("occupancy entries must be 0 or 1")
+        occ = np.ascontiguousarray(occ, dtype=np.uint8)
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
 
@@ -142,6 +200,10 @@ def generate_map(kind: str, width: int, height: int, density: float = 0.25,
                  seed: int = 0) -> GridMap:
     """Generate a synthetic map. Identical arguments reproduce identical maps.
 
+    A map is a function of the raw stream of np.random.PCG64(seed), which
+    numpy keeps fixed for a seed; it does not depend on Generator's
+    algorithms, which numpy may change. A negative seed raises ValueError.
+
     Kinds:
       random-blocks: small rectangles scattered until ~density of cells are
         obstacles.
@@ -156,7 +218,7 @@ def generate_map(kind: str, width: int, height: int, density: float = 0.25,
         raise InvalidDimensionsError(f"generators need dims >= 8, got {height}x{width}")
     if not (0.0 <= density < 0.6):
         raise DensityRangeError(f"density must be in [0, 0.6), got {density}")
-    rng = np.random.default_rng(seed)
+    rng = _Sampler(seed)
     if kind == "random-blocks":
         occ = _random_blocks(rng, width, height, density)
     elif kind == "maze":
@@ -166,29 +228,29 @@ def generate_map(kind: str, width: int, height: int, density: float = 0.25,
     return GridMap(width=width, height=height, occupancy=occ)
 
 
-def _random_blocks(rng: np.random.Generator, width: int, height: int,
+def _random_blocks(rng: _Sampler, width: int, height: int,
                    density: float) -> np.ndarray:
     occ = bytearray(width * height)
     target = int(round(density * width * height))
     occupied = 0
     while occupied < target:
-        bh = int(rng.integers(1, 4))
-        bw = int(rng.integers(1, 4))
-        r = int(rng.integers(0, height - bh + 1))
-        c = int(rng.integers(0, width - bw + 1))
+        bh = 1 + rng.below(3)
+        bw = 1 + rng.below(3)
+        r = rng.below(height - bh + 1)
+        c = rng.below(width - bw + 1)
         for lo in range(r * width + c, (r + bh) * width, width):
             occupied += occ.count(0, lo, lo + bw)
             occ[lo:lo + bw] = b"\x01" * bw
     return np.frombuffer(occ, dtype=np.uint8).reshape(height, width)
 
 
-def _maze(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
+def _maze(rng: _Sampler, width: int, height: int) -> np.ndarray:
     # Corridor cells live at odd coordinates; walls everywhere else. Node
     # (r, c) is corridor cell (2r + 1, 2c + 1); both grids are flat, row-major.
     occ = bytearray(b"\x01") * (height * width)
     node_rows = (height - 1) // 2
     node_cols = (width - 1) // 2
-    start = (int(rng.integers(node_rows)), int(rng.integers(node_cols)))
+    start = (rng.below(node_rows), rng.below(node_cols))
     visited = bytearray(node_rows * node_cols)
     visited[start[0] * node_cols + start[1]] = 1
     occ[(2 * start[0] + 1) * width + 2 * start[1] + 1] = 0
@@ -209,7 +271,7 @@ def _maze(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
         if not candidates:
             stack.pop()
             continue
-        nr, nc = candidates[int(rng.integers(len(candidates)))]
+        nr, nc = candidates[rng.below(len(candidates))]
         visited[nr * node_cols + nc] = 1
         occ[(2 * nr + 1) * width + 2 * nc + 1] = 0
         occ[(r + nr + 1) * width + c + nc + 1] = 0  # knock out the wall between the nodes
@@ -217,18 +279,20 @@ def _maze(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
     return np.frombuffer(occ, dtype=np.uint8).reshape(height, width)
 
 
-def _rooms(rng: np.random.Generator, width: int, height: int,
+def _rooms(rng: _Sampler, width: int, height: int,
            density: float) -> np.ndarray:
     # Recursive division: walls on even coordinates, doorways on odd ones,
     # so a later perpendicular wall can never seal an existing doorway.
     occ = np.zeros((height, width), dtype=np.uint8)
     budget = int(round(density * width * height))
 
-    def wall_candidates(lo: int, hi: int) -> list[int]:
-        return [x for x in range(lo + 1, hi) if x % 2 == 0]
+    def wall_candidates(lo: int, hi: int) -> range:
+        # Even x with lo < x < hi.
+        return range(lo + 2 - lo % 2, hi, 2)
 
-    def door_candidates(lo: int, hi: int) -> list[int]:
-        return [x for x in range(lo, hi + 1) if x % 2 == 1]
+    def door_candidates(lo: int, hi: int) -> range:
+        # Odd x with lo <= x <= hi.
+        return range(lo + 1 - lo % 2, hi + 1, 2)
 
     def divide(r0: int, r1: int, c0: int, c1: int):
         nonlocal budget
@@ -241,8 +305,8 @@ def _rooms(rng: np.random.Generator, width: int, height: int,
             doors = door_candidates(c0, c1)
             if not rows or not doors or budget < w - 1:
                 return
-            wr = rows[int(rng.integers(len(rows)))]
-            door = doors[int(rng.integers(len(doors)))]
+            wr = rows[rng.below(len(rows))]
+            door = doors[rng.below(len(doors))]
             occ[wr, c0:c1 + 1] = 1
             occ[wr, door] = 0
             budget -= w - 1
@@ -253,8 +317,8 @@ def _rooms(rng: np.random.Generator, width: int, height: int,
             doors = door_candidates(r0, r1)
             if not cols or not doors or budget < h - 1:
                 return
-            wc = cols[int(rng.integers(len(cols)))]
-            door = doors[int(rng.integers(len(doors)))]
+            wc = cols[rng.below(len(cols))]
+            door = doors[rng.below(len(doors))]
             occ[r0:r1 + 1, wc] = 1
             occ[door, wc] = 0
             budget -= h - 1
@@ -270,7 +334,7 @@ def sample_instance(grid: GridMap, seed: int = 0) -> PlanInstance:
     labels, count = free_components(grid)
     if count == 0:
         raise NoValidPairError("map has no free cells")
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels, range(1, count + 1))
+    sizes = np.bincount(labels.ravel())[1:]
     best = int(np.argmax(sizes)) + 1
     cells = np.flatnonzero(labels == best)
     if cells.size < 2:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,11 @@ from gridplan.errors import (
     RowLengthError,
 )
 from gridplan.grid import (
+    GENERATOR_KINDS,
     Coord,
     GridMap,
     PlanInstance,
+    _Sampler,
     free_components,
     generate_map,
     load_map,
@@ -48,6 +53,21 @@ class TestGridMap:
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidDimensionsError):
             GridMap.from_occupancy(np.full((4, 4), 2, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [257, -255, 0.5, 1.9])
+    def test_rejects_values_a_cast_would_wrap_or_truncate(self, value):
+        occ = np.zeros((3, 3), dtype=type(value))
+        occ[1, 1] = value
+        with pytest.raises(InvalidDimensionsError):
+            GridMap.from_occupancy(occ)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.int64])
+    def test_accepts_zero_one_of_any_dtype(self, dtype):
+        occ = np.zeros((3, 3), dtype=dtype)
+        occ[1, 1] = 1
+        g = GridMap.from_occupancy(occ)
+        assert g.occupancy.dtype == np.uint8
+        assert g.occupancy.sum() == 1
 
     def test_free_count(self):
         assert sample_grid().free_count() == 10
@@ -215,6 +235,75 @@ class TestGenerators:
         for d in (-0.1, 0.6, 1.0):
             with pytest.raises(DensityRangeError):
                 generate_map("random-blocks", 16, 16, density=d)
+
+
+class TestSampler:
+    # Map-sized bounds, the trivial ones, and two bounds where about half
+    # (2**31 + 1) and a quarter (3 * 2**30) of the 32-bit words are rejected.
+    BOUNDS = (1, 2, 3, 7, 62, 127, 253, 4096, 65521, 2**31 + 1, 3 * 2**30)
+
+    def test_matches_numpy_draw_for_draw(self):
+        for seed in list(range(60)) + [2**40 + 3, 2**63 + 11]:
+            ops = random.Random(seed)
+            sampler, rng = _Sampler(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                if ops.random() < 0.2:
+                    assert sampler.random() == rng.random()
+                else:
+                    n = ops.choice(self.BOUNDS)
+                    assert sampler.below(n) == rng.integers(n)
+
+    def test_random_between_the_halves_of_one_output(self):
+        for seed in range(20):
+            sampler, rng = _Sampler(seed), np.random.default_rng(seed)
+            # The first below() takes a low half; random() takes the next
+            # whole output; the second below() takes the pending high half.
+            assert sampler.below(1000) == rng.integers(1000)
+            assert sampler.random() == rng.random()
+            assert sampler.below(1000) == rng.integers(1000)
+            assert sampler.below(1000) == rng.integers(1000)
+
+    def test_below_one_draws_nothing(self):
+        sampler, rng = _Sampler(5), np.random.default_rng(5)
+        assert [sampler.below(1) for _ in range(10)] == [0] * 10
+        assert sampler.below(99) == rng.integers(99)
+
+
+class TestGeneratorDigests:
+    """One sha256 per kind over a spread of shapes, densities and seeds.
+
+    The digests were computed while the generators still drew through
+    np.random.default_rng(seed), before they moved to _Sampler. A digest that
+    differs is a change of every map built from a seed: fix the program.
+    """
+
+    SHAPES = ((8, 8), (9, 13), (17, 23), (33, 40), (100, 60), (200, 17), (256, 256))
+    DENSITIES = (0.0, 0.1, 0.25, 0.5, 0.59)
+    SEEDS = (0, 1, 42, 2**40 + 3)
+    GOLDEN = {
+        "random-blocks": "8638b79d4d8c2f7645a981a077693ea5fbb33e98bd358db18fe6ac078acbfb62",
+        "maze": "d83f77eacb4efd51863df516375dcec540269c22eec8788c03e05283d3ae5cac",
+        "rooms": "c5a7c6abbec9d5db015e8e53fb9011fb304f4a99d9b079f40660bbdd709c918b",
+    }
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_maps_and_pairs_match_reference(self, kind):
+        digest = hashlib.sha256()
+        for h, w in self.SHAPES:
+            for density in self.DENSITIES:
+                for seed in self.SEEDS:
+                    grid = generate_map(kind, w, h, density=density, seed=seed)
+                    digest.update(f"{h}x{w} {density} {seed}\n".encode())
+                    digest.update(grid.occupancy.tobytes())
+                    if density == 0.25:
+                        inst = sample_instance(grid, seed=seed)
+                        digest.update(repr((tuple(inst.start), tuple(inst.goal))).encode())
+        assert digest.hexdigest() == self.GOLDEN[kind]
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValueError):
+            generate_map(kind, 16, 16, seed=-1)
 
 
 class TestSampling:
