@@ -244,13 +244,6 @@ class SelectionTape:
       step after its cell is selected, or T.
     The cells open at step t, the selected one included, are those of the
     entries with birth <= t < death.
-
-    selected, starts, cells and scores give the same tape per step:
-    selected[t] is expanded[t], and the cells open at step t are
-    cells[starts[t]:starts[t + 1]], in the order of their cells' first
-    pushes, with their scores at the same positions of scores. They are
-    Python lists built from the entries on first read, in O(sum of the
-    open-set sizes); the search and its backward never read them.
     """
 
     def __init__(self):
@@ -278,23 +271,6 @@ class SelectionTape:
         self.entry_cells = cells
         self.entry_scores = np.array(self.pushed_scores, dtype=np.float64)
         self.birth, self.death = birth, death
-
-    @cached_property
-    def _per_step(self) -> tuple[list[int], list[int], list[int], list[float]]:
-        """selected, starts, cells and scores: each step's live entries."""
-        life = self.death - self.birth
-        entry = np.repeat(np.arange(life.size), life)
-        step = self.birth[entry] + np.arange(entry.size) - np.repeat(np.cumsum(life) - life, life)
-        _, first, which = np.unique(self.entry_cells, return_index=True, return_inverse=True)
-        entry = entry[np.lexsort((first[which][entry], step))]
-        starts = np.cumsum(np.bincount(step, minlength=self.expanded.size))
-        return (self.expanded.tolist(), [0, *starts.tolist()],
-                self.entry_cells[entry].tolist(), self.entry_scores[entry].tolist())
-
-    selected = property(lambda self: self._per_step[0])
-    starts = property(lambda self: self._per_step[1])
-    cells = property(lambda self: self._per_step[2])
-    scores = property(lambda self: self._per_step[3])
 
 
 def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,

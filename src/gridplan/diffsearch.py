@@ -39,24 +39,23 @@ from .grid import PlanInstance
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class DiffSearchResult(SearchResult):
-    """A SearchResult plus the path and closed set as tensors.
+    """A SearchResult plus the closed set as a tensor.
 
-    mu is the 0/1 path matrix, a constant. closed sums all selections and,
-    when the bias is a graph leaf, carries the gradient back to it.
+    closed sums all selections and, when the bias is a graph leaf, carries
+    the gradient back to it. The path stays the constant path_matrix.
     """
 
-    mu: Tensor
     closed: Tensor
 
 
-def _with_tensors(found: SearchResult, mu: Tensor, closed: Tensor) -> DiffSearchResult:
-    """found's declared fields plus the tensors.
+def _with_closed(found: SearchResult, closed: Tensor) -> DiffSearchResult:
+    """found's declared fields plus the closed tensor.
 
     Only the fields are copied: a cached expansion_order sits in the
     instance dict too, but is not a constructor argument.
     """
     return DiffSearchResult(**{f.name: getattr(found, f.name) for f in fields(found)},
-                            mu=mu, closed=closed)
+                            closed=closed)
 
 
 def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
@@ -66,7 +65,7 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
     the sum of the per-expansion one-hot selections, giving the trainer its
     route into the selection softmax at temperature sqrt(H*W), so the logit
     spread tracks map size. The backtrace itself is discrete and outside the
-    graph, so mu never carries a gradient. A bias holding NaN or an
+    graph, so the path never carries a gradient. A bias holding NaN or an
     infinity raises NonFiniteBiasError.
     """
     shape = instance.grid.shape
@@ -95,4 +94,4 @@ def search(instance: PlanInstance, bias=None) -> DiffSearchResult:
                                   tape.birth, tape.death, math.sqrt(shape[0] * shape[1]))
     else:
         closed = Tensor(found.closed_matrix.astype(np.float64))
-    return _with_tensors(found, Tensor(found.path_matrix.astype(np.float64)), closed)
+    return _with_closed(found, closed)

@@ -8,20 +8,20 @@ size works.
 
 The network runs on a coarse grid about COARSE_SIDE cells a side. The pool
 factor s is the largest power of two with min(H, W) // s >= COARSE_SIDE:
-1 below 64, 2 at 64, 4 at 128, 8 at 256. The input is zero-padded to a
-multiple of s * 2^depth and block-reduced by s (mean for the obstacle and
-goal-distance channels, max for the one-hot start and goal planes); the
-output is upsampled back by nearest neighbour and cropped to the map. So
-the forward costs about the same on every map of 64 cells a side or more,
-and maps under 64 run at full resolution, s = 1.
+1 below 64, 2 at 64, 4 at 128, 8 at 256. predict_bias builds the coarse
+input straight from the PlanInstance, in four channels: the obstacle mask
+and the octile distance to the goal divided by H + W, both zero-padded to a
+multiple of s * 2^depth and block-meaned by s, and the start and the goal,
+each 1.0 in the coarse cell (r // s, c // s) that holds it. The output is
+upsampled back by nearest neighbour and cropped to the map. So the forward
+costs about the same on every map of 64 cells a side or more, and maps
+under 64 run at full resolution, s = 1.
 
-The input is a 3-channel array: obstacle mask, one-hot start, one-hot goal.
-The network appends a fourth channel itself, the octile distance to the goal
-divided by H + W, so a field that grows with distance to the goal (the shape
-of weighted A*'s bias) is one linear step away instead of something the
-convolutions must first spread out of a single goal pixel. The output is a
-per-cell nonnegative bias added to cost + heuristic during node selection in
-the differentiable search.
+The goal-distance channel makes a field that grows with distance to the
+goal (the shape of weighted A*'s bias) one linear step away, instead of
+something the convolutions must first spread out of a single goal cell.
+The output is a per-cell nonnegative bias added to cost + heuristic during
+node selection in the differentiable search.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     DimensionUnderflowError,
     InvalidArchError,
 )
-from .grid import Coord, PlanInstance
+from .grid import PlanInstance
 
 ARCH_FORMAT_VERSION = "arch v2"
 # v1 ran the network at full resolution on every map; on maps of 64 cells a
@@ -89,7 +89,7 @@ class Arch:
 def _layer_plan(arch: Arch) -> list[tuple[str, int, int, int]]:
     """(name, out_channels, in_channels, kernel_side) in parameter order."""
     plan = []
-    cin = 4  # the three instance channels plus the goal-distance channel
+    cin = 4  # obstacles, start, goal and goal distance
     enc_channels = []
     for level in range(arch.depth):
         cout = arch.base * 2 ** level
@@ -142,26 +142,17 @@ def init_model(arch: Arch = Arch(), seed: int = 0) -> EncoderModel:
     return EncoderModel(arch=arch, params=params)
 
 
-def instance_tensor(instance: PlanInstance) -> np.ndarray:
-    """3-channel network input: obstacles, one-hot start, one-hot goal."""
-    grid = instance.grid
-    x = np.zeros((3,) + grid.shape)
-    x[0] = grid.occupancy
-    x[1][instance.start] = 1.0
-    x[2][instance.goal] = 1.0
-    return x
-
-
-def forward(model: EncoderModel, x, record_graph: bool = False) -> Tensor:
-    """Run the encoder on a (3,H,W) input; returns the (H,W) bias map.
+def predict_bias(model: EncoderModel, instance: PlanInstance,
+                 record_graph: bool = False) -> Tensor:
+    """Run the encoder on an instance; returns the (H,W) bias map.
 
     record_graph=False runs outside the autodiff graph (inference); the
     trainer passes True so gradients reach the parameters.
     """
     if record_graph:
-        return _forward(model, x)
+        return _forward(model, instance)
     with ad.no_grad():
-        return _forward(model, x)
+        return _forward(model, instance)
 
 
 def pool_factor(height: int, width: int) -> int:
@@ -172,42 +163,43 @@ def pool_factor(height: int, width: int) -> int:
     return s
 
 
-def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
-    """Encoder graph on a (3,H,W) array.
+def _coarse_input(instance: PlanInstance, unit: int) -> np.ndarray:
+    """(4, rows, cols) network input: obstacles, start, goal, goal distance.
 
-    The input carries no gradient, so the goal-distance channel, the zero
-    padding to a multiple of s * 2^depth and the block reduction by the pool
-    factor s are built in numpy and enter the graph as one constant Tensor.
-    The upsampling, crop and reshape of the output stay graph ops because
-    the gradient crosses them.
+    The obstacle and goal-distance planes are zero-padded to a multiple of
+    s * unit and block-meaned by the pool factor s; at s = 1 the mean over
+    length-1 axes is exact. Start and goal are 1.0 at (r // s, c // s).
+    """
+    height, width = instance.grid.shape
+    s = pool_factor(height, width)
+    rows = -(-height // (s * unit)) * unit
+    cols = -(-width // (s * unit)) * unit
+    fine = np.zeros((2, rows * s, cols * s))
+    fine[0, :height, :width] = instance.grid.occupancy
+    fine[1, :height, :width] = octile_matrix((height, width), instance.goal) / (height + width)
+    x = np.zeros((4, rows, cols))
+    x[[0, 3]] = fine.reshape(2, rows, s, cols, s).mean(axis=(2, 4))
+    x[1, instance.start.row // s, instance.start.col // s] = 1.0
+    x[2, instance.goal.row // s, instance.goal.col // s] = 1.0
+    return x
+
+
+def _forward(model: EncoderModel, instance: PlanInstance) -> Tensor:
+    """Encoder graph on an instance.
+
+    The input carries no gradient, so it is built in numpy and enters the
+    graph as one constant Tensor. The upsampling, crop and reshape of the
+    output stay graph ops because the gradient crosses them.
     """
     arch = model.arch
     p = model.params
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != 3:
-        raise DimensionUnderflowError(f"input must be (3,H,W), got {x.shape}")
-    height, width = x.shape[1], x.shape[2]
+    height, width = instance.grid.shape
     unit = 2 ** arch.depth
     if height < unit or width < unit:
         raise DimensionUnderflowError(
             f"map {height}x{width} smaller than the receptive contract {unit}x{unit}"
         )
-    s = pool_factor(height, width)
-    pad_r = (-height) % (s * unit)
-    pad_c = (-width) % (s * unit)
-    x = np.concatenate([x, goal_distance_channel(x[2])])
-    x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
-    if s > 1:
-        # block mean of the obstacle and goal-distance channels; the start
-        # and goal planes are one-hot (nonnegative), so a block's max is the
-        # largest of its nonzero cells, placed at (r // s, c // s)
-        rows, cols = x.shape[1] // s, x.shape[2] // s
-        coarse = np.zeros((4, rows, cols))
-        coarse[[0, 3]] = x[[0, 3]].reshape(2, rows, s, cols, s).mean(axis=(2, 4))
-        plane, r, c = np.nonzero(x[1:3])
-        np.maximum.at(coarse, (plane + 1, r // s, c // s), x[1:3][plane, r, c])
-        x = coarse
-    x = Tensor(x)
+    x = Tensor(_coarse_input(instance, unit))
 
     skips = []
     for level in range(arch.depth):
@@ -220,24 +212,13 @@ def _forward(model: EncoderModel, x: np.ndarray) -> Tensor:
         x = ad.relu(ad.conv2d(x, p[f"dec{level}.w"], bias=p[f"dec{level}.b"]))
     x = ad.conv2d(x, p["head.w"], bias=p["head.b"])
     x = ad.scale(ad.sigmoid(x), arch.out_scale)
+    s = pool_factor(height, width)
     while s > 1:
         x = ad.upsample2(x)
         s //= 2
-    if pad_r or pad_c:
+    if x.shape[1:] != (height, width):
         x = ad.crop2d(x, height, width)
     return ad.reshape(x, (height, width))
-
-
-def goal_distance_channel(goal_plane: np.ndarray) -> np.ndarray:
-    """(1,H,W) octile distance to the goal plane's peak, over H + W."""
-    height, width = goal_plane.shape
-    goal = Coord(*divmod(int(np.argmax(goal_plane)), width))
-    return (octile_matrix((height, width), goal) / (height + width))[None]
-
-
-def predict_bias(model: EncoderModel, instance: PlanInstance,
-                 record_graph: bool = False) -> Tensor:
-    return forward(model, instance_tensor(instance), record_graph=record_graph)
 
 
 def save_model(model: EncoderModel, path) -> None:

@@ -113,7 +113,8 @@ class GridMap:
         # Test the values as given: a cast first would read 257 as 1, 0.5 as 0.
         if not np.isin(occ, (0, 1)).all():
             raise InvalidDimensionsError("occupancy entries must be 0 or 1")
-        occ = np.ascontiguousarray(occ, dtype=np.uint8)
+        # A copy even of a uint8 array, so freezing it leaves the caller's alone.
+        occ = np.array(occ, dtype=np.uint8, order="C")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
 

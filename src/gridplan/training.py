@@ -57,7 +57,7 @@ def area_loss(closed, mu) -> Tensor:
     cell, so the centered selection backward pulls path cells forward and
     pushes off-path frontier cells back. A gradient through mu would cancel
     the closed term at path steps and leave path and never-visited frontier
-    cells with no signal at all, which is why the search returns mu as a
+    cells with no signal at all, which is why the search keeps the path a
     constant.
     """
     return ad.inner(closed, Tensor(1.0 - ad.as_tensor(mu).data))
@@ -217,7 +217,7 @@ def imperative_loss(result: DiffSearchResult, w_a: float, w_l: float) -> Tensor:
     would claim: along the weighted-A* direction it outweighs the area
     gradient and points the other way.
     """
-    return ad.add(ad.scale(area_loss(result.closed, result.mu), w_a),
+    return ad.add(ad.scale(area_loss(result.closed, result.path_matrix), w_a),
                   w_l * result.cost)
 
 

@@ -138,6 +138,7 @@ def case_encoder_probe(rng):
 def _encoder_probe(rng, depth, lo, hi):
     """The probe at `depth` on a map whose sides are drawn from [lo, hi)."""
     from gridplan import encoder as enc
+    from gridplan.grid import GridMap, PlanInstance
 
     arch = enc.Arch(depth=depth, base=4, out_scale=float(rng.uniform(1.0, 10.0)))
     model = enc.init_model(arch, seed=int(rng.integers(10_000)))
@@ -151,18 +152,21 @@ def _encoder_probe(rng, depth, lo, hi):
             p.data[:] = rng.normal(0.0, 0.05, size=p.data.shape)
     h = int(rng.integers(lo, hi))
     w = int(rng.integers(lo, hi))
-    x = (rng.random((3, h, w)) < 0.3).astype(np.float64)
+    occ = (rng.random((h, w)) < 0.3).astype(np.uint8)
+    start, goal = (divmod(int(i), w) for i in rng.choice(h * w, size=2, replace=False))
+    occ[start] = occ[goal] = 0
+    inst = PlanInstance(GridMap.from_occupancy(occ), start, goal)
     r = ad.Tensor(rng.normal(size=(h, w)))
     names = ["head.w", "head.b", "enc0.b", f"dec{depth - 1}.b"]
     target = model.params[names[int(rng.integers(len(names)))]]
 
-    out = ad.inner(enc.forward(model, x, record_graph=True), r)
+    out = ad.inner(enc.predict_bias(model, inst, record_graph=True), r)
     model.zero_grads()
     out.backward()
     analytic = target.grad.copy()
 
     def f():
-        return float(ad.inner(enc.forward(model, x), r).data)
+        return float(ad.inner(enc.predict_bias(model, inst), r).data)
 
     # step below the elementwise default: the deep relu/pool chain leaves
     # some activation within 1e-5 of a kink, which a wider central

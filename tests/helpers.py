@@ -402,6 +402,60 @@ def reference_accumulate(self, g):
     self.grad += g
 
 
+def reference_coarse_input(instance, unit):
+    """The encoder's (4, rows, cols) input as it was built from a one-hot image.
+
+    The instance becomes a full-size image of obstacles, one-hot start and
+    one-hot goal; the goal-distance channel is found again from the goal
+    plane's peak, the four channels are zero-padded to a multiple of
+    s * unit, and blocks of s reduce by mean (obstacles, goal distance) or
+    by max of the nonzero cells (start, goal).
+    """
+    from gridplan.classical import octile_matrix
+    from gridplan.encoder import pool_factor
+    from gridplan.grid import Coord
+
+    grid = instance.grid
+    x = np.zeros((3,) + grid.shape)
+    x[0] = grid.occupancy
+    x[1][instance.start] = 1.0
+    x[2][instance.goal] = 1.0
+    height, width = x.shape[1], x.shape[2]
+    goal = Coord(*divmod(int(np.argmax(x[2])), width))
+    distance = (octile_matrix((height, width), goal) / (height + width))[None]
+    s = pool_factor(height, width)
+    pad_r = (-height) % (s * unit)
+    pad_c = (-width) % (s * unit)
+    x = np.concatenate([x, distance])
+    x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
+    if s > 1:
+        rows, cols = x.shape[1] // s, x.shape[2] // s
+        coarse = np.zeros((4, rows, cols))
+        coarse[[0, 3]] = x[[0, 3]].reshape(2, rows, s, cols, s).mean(axis=(2, 4))
+        plane, r, c = np.nonzero(x[1:3])
+        np.maximum.at(coarse, (plane + 1, r // s, c // s), x[1:3][plane, r, c])
+        x = coarse
+    return x
+
+
+def per_step_view(tape):
+    """selected, starts, cells and scores: a finished SelectionTape per step.
+
+    selected[t] is expanded[t], and the cells open at step t are
+    cells[starts[t]:starts[t + 1]], in the order of their cells' first
+    pushes, with their scores at the same positions of scores. They are
+    Python lists built from the entries in O(sum of the open-set sizes).
+    """
+    life = tape.death - tape.birth
+    entry = np.repeat(np.arange(life.size), life)
+    step = tape.birth[entry] + np.arange(entry.size) - np.repeat(np.cumsum(life) - life, life)
+    _, first, which = np.unique(tape.entry_cells, return_index=True, return_inverse=True)
+    entry = entry[np.lexsort((first[which][entry], step))]
+    starts = np.cumsum(np.bincount(step, minlength=tape.expanded.size))
+    return (tape.expanded.tolist(), [0, *starts.tolist()],
+            tape.entry_cells[entry].tolist(), tape.entry_scores[entry].tolist())
+
+
 def same_bytes(a, b) -> bool:
     """Equal shape, dtype and bytes: unlike np.array_equal, -0.0 != +0.0."""
     a, b = np.asarray(a), np.asarray(b)

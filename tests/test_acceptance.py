@@ -91,7 +91,7 @@ def test_criterion_04_length_loss_equals_step_sum():
     for inst in instances:
         bias = rng.uniform(0.0, 25.0, size=inst.grid.shape)
         res = search(inst, bias=bias)
-        conv_value = float(path_length_loss(res.mu).data)
+        conv_value = float(path_length_loss(res.path_matrix).data)
         worst = max(worst, abs(conv_value - path_step_sum(res.path)))
     ok = worst <= 1e-9
     report(4, ok, f"max |conv length - step sum| {worst:.2e} over 1000 "

@@ -32,6 +32,7 @@ from .helpers import (
     flood_fill,
     forced_dirs_reference,
     make_instances,
+    per_step_view,
 )
 from .test_golden import CASES as GOLDEN_CASES
 from .test_golden import _case_seed
@@ -432,14 +433,15 @@ class TestEngineOnEdgeShapes:
         assert np.array_equal(res.closed_matrix, want_closed)
 
         width = occ.shape[1]
-        assert tape.selected == [r * width + c for r, c in ref["order"]]
-        assert tape.starts[0] == 0 and len(tape.starts) == len(ref["steps"]) + 1
-        assert all(type(i) is int for i in tape.selected + tape.cells)
+        selected, starts, tape_cells, scores = per_step_view(tape)
+        assert selected == [r * width + c for r, c in ref["order"]]
+        assert starts[0] == 0 and len(starts) == len(ref["steps"]) + 1
+        assert all(type(i) is int for i in selected + tape_cells)
         for t, (open_mask, score, _) in enumerate(ref["steps"]):
-            lo, hi = tape.starts[t], tape.starts[t + 1]
-            cells = tape.cells[lo:hi]
+            lo, hi = starts[t], starts[t + 1]
+            cells = tape_cells[lo:hi]
             assert sorted(cells) == np.flatnonzero(open_mask).tolist()
-            assert (np.asarray(tape.scores[lo:hi], dtype=np.float64).tobytes()
+            assert (np.asarray(scores[lo:hi], dtype=np.float64).tobytes()
                     == score.ravel()[cells].tobytes())
 
         for planner in planners:
@@ -467,11 +469,12 @@ def assert_engine_matches_dense(inst, bias):
     assert [tuple(c) for c in res.expansion_order] == ref["order"]
     assert [tuple(c) for c in res.path] == ref["path"]
     assert repr(res.cost) == repr(ref["cost"])
-    assert tape.selected == [r * width + c for r, c in ref["order"]]
+    selected, starts, tape_cells, scores = per_step_view(tape)
+    assert selected == [r * width + c for r, c in ref["order"]]
     for t, (open_mask, score, _) in enumerate(ref["steps"]):
-        cells = tape.cells[tape.starts[t]:tape.starts[t + 1]]
+        cells = tape_cells[starts[t]:starts[t + 1]]
         assert sorted(cells) == np.flatnonzero(open_mask).tolist()
-        assert (np.asarray(tape.scores[tape.starts[t]:tape.starts[t + 1]]).tobytes()
+        assert (np.asarray(scores[starts[t]:starts[t + 1]]).tobytes()
                 == score.ravel()[cells].tobytes())
     rows, cols = np.divmod(np.array(tape.pushed), width + 2)
     pushed = ((rows - 1) * width + cols - 1).tolist()
@@ -480,7 +483,7 @@ def assert_engine_matches_dense(inst, bias):
             zip(ref["steps"], ref["steps"][1:])):
         here = pushed[bounds[t]:bounds[t + 1]]
         assert here == sorted(set(here)), t
-        r, c = divmod(tape.selected[t], width)
+        r, c = divmod(selected[t], width)
         assert all(after_open.flat[q] and max(abs(q // width - r), abs(q % width - c)) == 1
                    for q in here), t
         assert set(np.flatnonzero(after_open & (after != before)).tolist()) <= set(here), t

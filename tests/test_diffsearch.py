@@ -10,14 +10,14 @@ from gridplan import autodiff as ad
 from gridplan.autodiff import Tensor
 from gridplan.classical import (SQRT2, SearchResult, SelectionTape, _biased_search,
                                 astar, dijkstra, octile_matrix, weighted_bias)
-from gridplan.diffsearch import _with_tensors, search
+from gridplan.diffsearch import DiffSearchResult, _with_closed, search
 from gridplan.errors import NonFiniteBiasError, ShapeMismatchError, UnreachableGoalError
 from gridplan.grid import GENERATOR_KINDS, Coord, GridMap, PlanInstance
 from gridplan.training import imperative_loss, supervised_loss
 
 from .helpers import (assert_valid_path, dense_search, dense_selection_grad,
                       distance_field, make_instances, per_step_selection_grad,
-                      relative_error, running_sum_selection_grad)
+                      per_step_view, relative_error, running_sum_selection_grad)
 
 
 def empty_instance(size, start, goal):
@@ -188,10 +188,9 @@ class TestDegeneracyToClassical:
         # differentiable result from that instance must still work.
         found = astar(make_instances(1, size=24, seed=24)[0])
         order = found.expansion_order
-        mu = Tensor(found.path_matrix.astype(np.float64))
         closed = Tensor(found.closed_matrix.astype(np.float64))
-        res = _with_tensors(found, mu, closed)
-        assert res.mu is mu and res.closed is closed
+        res = _with_closed(found, closed)
+        assert res.closed is closed
         assert res.expansion_order == order
         for f in dataclasses.fields(SearchResult):
             assert getattr(res, f.name) is getattr(found, f.name), f.name
@@ -240,7 +239,6 @@ class TestGradients:
         leaf = Tensor(values.copy(), requires_grad=True)
         graph = search(inst, bias=leaf)
         assert trace(plain) == trace(graph)
-        assert np.array_equal(graph.mu.data, graph.path_matrix.astype(float))
         assert np.array_equal(graph.closed.data, graph.closed_matrix.astype(float))
 
     def test_only_closed_carries_gradient(self):
@@ -249,8 +247,8 @@ class TestGradients:
                       requires_grad=True)
         res = search(inst, bias=leaf)
         assert res.closed.requires_grad
-        assert not res.mu.requires_grad
-        assert res.mu._parents == ()
+        assert [f.name for f in dataclasses.fields(DiffSearchResult)
+                if isinstance(getattr(res, f.name), Tensor)] == ["closed"]
 
     def test_plain_difference_sum_cancels_to_zero_gradient(self):
         # sum(C - mu) sends one flat upstream value to every cell of each
@@ -276,7 +274,7 @@ class TestGradients:
         leaf = Tensor(rng.uniform(0.0, 4.0, size=inst.grid.shape),
                       requires_grad=True)
         res = search(inst, bias=leaf)
-        area_loss(res.closed, res.mu).backward()
+        area_loss(res.closed, res.path_matrix).backward()
         assert leaf.grad is not None
         assert np.any(leaf.grad != 0.0)
 
@@ -307,7 +305,6 @@ class TestGradients:
         with ad.no_grad():
             res = search(inst, bias=leaf)
         assert not res.closed.requires_grad
-        assert res.mu._parents == ()
 
 
 def oracle_cases():
@@ -372,8 +369,7 @@ def backward_against_per_step(inst, values, mode):
         upstream = np.sign(res.closed_matrix - label.astype(float)) / label.size
     tape = record_tape(inst, values)
     tau = math.sqrt(values.size)
-    want = per_step_selection_grad(tape.selected, tape.starts, tape.cells, tape.scores,
-                                   tau, upstream)
+    want = per_step_selection_grad(*per_step_view(tape), tau, upstream)
     return leaf.grad, want, running_sum_selection_grad(tape, tau, upstream)
 
 
@@ -412,4 +408,4 @@ def test_tape_holds_one_entry_per_push(monkeypatch):
     tape = record_tape(inst, np.random.default_rng(161).uniform(0.0, 5.0, size=(128, 128)))
     # the start enters the heap without a push
     assert tape.entry_cells.size == tape.entry_scores.size == len(pushes) + 1
-    assert tape.entry_cells.size < tape.starts[-1] / 10
+    assert tape.entry_cells.size < per_step_view(tape)[1][-1] / 10

@@ -6,9 +6,7 @@ from gridplan import encoder
 from gridplan.encoder import (
     Arch,
     EncoderModel,
-    forward,
     init_model,
-    instance_tensor,
     load_model,
     predict_bias,
     save_model,
@@ -19,11 +17,12 @@ from gridplan.errors import (
     DimensionUnderflowError,
     InvalidArchError,
 )
-from gridplan.grid import generate_map, sample_instance
+from gridplan.grid import GENERATOR_KINDS, GridMap, PlanInstance, generate_map, sample_instance
 
 from .helpers import (
     make_instances,
     reference_accumulate,
+    reference_coarse_input,
     reference_maxpool2,
     reference_upsample2,
     same_bytes,
@@ -101,71 +100,76 @@ class TestInit:
         assert model.parameter_count() < 1_000_000
 
 
+def open_instance(occupancy, start=None, goal=None) -> PlanInstance:
+    """An instance on occupancy, start and goal (default: opposite corners) freed."""
+    occ = np.array(occupancy, dtype=np.uint8)
+    h, w = occ.shape
+    start = (0, 0) if start is None else start
+    goal = (h - 1, w - 1) if goal is None else goal
+    occ[start] = occ[goal] = 0
+    return PlanInstance(GridMap.from_occupancy(occ), start, goal)
+
+
+def random_instance(seed, h, w, density=0.3) -> PlanInstance:
+    return open_instance(np.random.default_rng(seed).random((h, w)) < density)
+
+
 class TestForward:
     def test_output_shape_matches_map(self):
         model = init_model(small_arch(), seed=1)
         for h, w in ((16, 16), (32, 24), (64, 64)):
-            p = forward(model, np.zeros((3, h, w)))
+            p = predict_bias(model, open_instance(np.zeros((h, w))))
             assert p.shape == (h, w)
 
     def test_depth2_base8_on_64(self):
         model = init_model(Arch(depth=2, base=8), seed=2)
-        assert forward(model, np.zeros((3, 64, 64))).shape == (64, 64)
+        assert predict_bias(model, open_instance(np.zeros((64, 64)))).shape == (64, 64)
 
     def test_pad_and_crop_on_prime_dims(self):
         model = init_model(small_arch(), seed=3)
-        out = forward(model, np.random.default_rng(0).random((3, 37, 53)))
+        out = predict_bias(model, random_instance(0, 37, 53, density=0.5))
         assert out.shape == (37, 53)
         assert np.isfinite(out.data).all()
 
     def test_output_bounded(self):
         model = init_model(small_arch(), seed=4)
-        rng = np.random.default_rng(1)
-        out = forward(model, (rng.random((3, 24, 24)) < 0.5).astype(float))
+        out = predict_bias(model, random_instance(1, 24, 24, density=0.5))
         assert (out.data >= 0).all() and (out.data <= 10.0).all()
 
     def test_zeroed_head_gives_constant_half_scale(self):
         model = init_model(Arch(depth=2, base=4, out_scale=6.0), seed=5)
         model.params["head.w"].data[:] = 0.0
         model.params["head.b"].data[:] = 0.0
-        out = forward(model, np.random.default_rng(2).random((3, 16, 16)))
+        out = predict_bias(model, random_instance(2, 16, 16, density=0.5))
         assert np.array_equal(out.data, np.full((16, 16), 3.0))
 
     def test_dimension_underflow(self):
         model = init_model(Arch(depth=3, base=4), seed=6)
         with pytest.raises(DimensionUnderflowError):
-            forward(model, np.zeros((3, 4, 4)))
-
-    def test_rejects_wrong_channel_count(self):
-        model = init_model(small_arch(), seed=6)
-        with pytest.raises(DimensionUnderflowError):
-            forward(model, np.zeros((2, 16, 16)))
+            predict_bias(model, open_instance(np.zeros((4, 4))))
 
     def test_deterministic_forward(self):
         model = init_model(small_arch(), seed=7)
-        x = (np.random.default_rng(3).random((3, 20, 20)) < 0.3).astype(float)
-        assert np.array_equal(forward(model, x).data, forward(model, x).data)
+        inst = random_instance(3, 20, 20)
+        assert np.array_equal(predict_bias(model, inst).data, predict_bias(model, inst).data)
 
     def test_record_graph_controls_gradients(self):
         model = init_model(small_arch(), seed=8)
-        x = np.zeros((3, 16, 16))
-        assert not forward(model, x).requires_grad
-        assert forward(model, x, record_graph=True).requires_grad
+        inst = open_instance(np.zeros((16, 16)))
+        assert not predict_bias(model, inst).requires_grad
+        assert predict_bias(model, inst, record_graph=True).requires_grad
 
 
-def _translated_inputs(size, shift, block, start, goal, width=None):
+def _translated_instances(size, shift, block, start, goal, width=None):
     width = width or size
-    base = np.zeros((3, size, width))
-    moved = np.zeros((3, size, width))
+    base = np.zeros((size, width))
+    moved = np.zeros((size, width))
     r0, c0, side = block
-    base[0, r0:r0 + side, c0:c0 + side] = 1.0
-    base[1][start] = 1.0
-    base[2][goal] = 1.0
+    base[r0:r0 + side, c0:c0 + side] = 1.0
     dr, dc = shift
-    moved[0, r0 + dr:r0 + dr + side, c0 + dc:c0 + dc + side] = 1.0
-    moved[1][start[0] + dr, start[1] + dc] = 1.0
-    moved[2][goal[0] + dr, goal[1] + dc] = 1.0
-    return base, moved
+    moved[r0 + dr:r0 + dr + side, c0 + dc:c0 + dc + side] = 1.0
+    return (open_instance(base, start, goal),
+            open_instance(moved, (start[0] + dr, start[1] + dc), (goal[0] + dr, goal[1] + dc)))
 
 
 class TestTranslationCovariance:
@@ -183,10 +187,10 @@ class TestTranslationCovariance:
         model = init_model(arch, seed=seed)
         head = model.params["head.w"].data
         head[:] = np.random.default_rng(seed).normal(0.0, 1.0, head.shape)
-        return forward(model, base).data, forward(model, moved).data
+        return predict_bias(model, base).data, predict_bias(model, moved).data
 
     def test_depth1_shift_by_pool_unit(self):
-        base, moved = _translated_inputs(
+        base, moved = _translated_instances(
             32, (2, 2), block=(12, 12, 4), start=(10, 10), goal=(20, 20)
         )
         pa, pb = self.fields(Arch(depth=1, base=4), 9, base, moved)
@@ -195,7 +199,7 @@ class TestTranslationCovariance:
 
     def test_default_depth_shift_by_pool_unit(self):
         assert encoder.pool_factor(48, 160) == 1
-        base, moved = _translated_inputs(
+        base, moved = _translated_instances(
             48, (0, 8), block=(20, 60, 8), start=(10, 50), goal=(36, 84), width=160
         )
         pa, pb = self.fields(Arch(depth=3, base=8), 10, base, moved)
@@ -205,7 +209,7 @@ class TestTranslationCovariance:
     def test_coarse_default_depth_shift_by_pool_unit(self):
         # s = 4 at 128, so the unit is 4 * 2^3 = 32 cells.
         assert encoder.pool_factor(128, 256) == 4
-        base, moved = _translated_inputs(
+        base, moved = _translated_instances(
             128, (0, 32), block=(56, 100, 16), start=(30, 90), goal=(100, 140), width=256
         )
         pa, pb = self.fields(Arch(), 10, base, moved)
@@ -244,14 +248,18 @@ class TestReferenceOps:
 
 
 class TestInstanceTensor:
-    def test_channels(self):
-        grid = generate_map("random-blocks", 16, 16, density=0.3, seed=1)
-        inst = sample_instance(grid, seed=2)
-        x = instance_tensor(inst)
-        assert x.shape == (3, 16, 16)
-        assert np.array_equal(x[0], grid.occupancy)
-        assert x[1].sum() == 1.0 and x[1][inst.start] == 1.0
-        assert x[2].sum() == 1.0 and x[2][inst.goal] == 1.0
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_coarse_input_matches_reference(self, depth):
+        """The network input built from the instance, byte for byte, against
+        the one-hot image, its padding and its block reduction."""
+        unit = 2 ** depth
+        for kind in GENERATOR_KINDS:
+            for h, w in ((17, 200), (37, 53), (32, 32), (64, 64), (128, 128), (256, 256)):
+                for seed in range(4):
+                    grid = generate_map(kind, w, h, density=0.25, seed=seed)
+                    inst = sample_instance(grid, seed=seed + 100)
+                    assert same_bytes(encoder._coarse_input(inst, unit),
+                                      reference_coarse_input(inst, unit)), (kind, h, w, seed)
 
     def test_predict_bias_shape(self):
         inst = make_instances(1, size=24, seed=3)[0]
@@ -266,8 +274,8 @@ class TestCheckpointing:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.arch == model.arch
-        x = (np.random.default_rng(4).random((3, 24, 24)) < 0.4).astype(float)
-        assert np.array_equal(forward(model, x).data, forward(loaded, x).data)
+        inst = random_instance(4, 24, 24, density=0.4)
+        assert np.array_equal(predict_bias(model, inst).data, predict_bias(loaded, inst).data)
 
     def test_missing_sidecar(self, tmp_path):
         model = init_model(small_arch(), seed=13)

@@ -29,6 +29,8 @@ from gridplan.classical import (
 )
 from gridplan.grid import GENERATOR_KINDS, generate_map, sample_instance
 
+from .helpers import per_step_view
+
 # (height, width): one non-square size with odd dimensions, two squares.
 SIZES = ((17, 23), (64, 64), (128, 128))
 CASES = [(kind, h, w) for h, w in SIZES for kind in GENERATOR_KINDS]
@@ -76,8 +78,9 @@ def case_digests(kind: str, h: int, w: int) -> dict[str, str]:
         tape = SelectionTape()
         res = _biased_search(inst, octile_matrix(grid.shape, inst.goal),
                              rng.random(grid.shape) * 3.0, tape)
-        parts += [tape.selected, tape.starts, tape.cells,
-                  np.asarray(tape.scores, dtype=np.float64).tobytes(),
+        selected, starts, cells, scores = per_step_view(tape)
+        parts += [selected, starts, cells,
+                  np.asarray(scores, dtype=np.float64).tobytes(),
                   res.expansion_order, res.path, repr(res.cost)]
     out["tape"] = _sha(*parts)
     return out

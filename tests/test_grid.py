@@ -42,6 +42,13 @@ class TestGridMap:
         with pytest.raises(ValueError):
             g.occupancy[0, 0] = 1
 
+    def test_owns_a_copy_of_the_callers_array(self):
+        a = np.zeros((3, 3), dtype=np.uint8)
+        g = GridMap.from_occupancy(a)
+        assert a.flags.writeable and not np.shares_memory(a, g.occupancy)
+        a[1, 1] = 1
+        assert g.occupancy[1, 1] == 0 and g.free_count() == 9
+
     def test_rejects_tiny_maps(self):
         with pytest.raises(InvalidDimensionsError):
             GridMap.from_occupancy(np.zeros((1, 5), dtype=np.uint8))

@@ -50,7 +50,7 @@ class TestPathLengthLoss:
     def test_matches_step_sum_on_search_paths(self):
         for inst in make_instances(20, size=16, seed=31):
             res = search(inst)
-            got = path_length_loss(res.mu).data
+            got = path_length_loss(res.path_matrix).data
             assert got == pytest.approx(path_step_sum(res.path), abs=1e-9)
             assert got == pytest.approx(res.cost, abs=1e-9)
 
@@ -62,7 +62,7 @@ class TestPathLengthLoss:
         for inst in instances:
             bias = rng.uniform(0.0, 25.0, size=inst.grid.shape)
             res = search(inst, bias=bias)
-            got = path_length_loss(res.mu).data
+            got = path_length_loss(res.path_matrix).data
             assert got == pytest.approx(path_step_sum(res.path), abs=1e-9)
 
 
@@ -87,7 +87,7 @@ class TestAreaLoss:
             res = search(inst)
             ref = astar(inst)
             expected = ref.expansions - len(ref.path)
-            assert area_loss(res.closed, res.mu).data == expected
+            assert area_loss(res.closed, res.path_matrix).data == expected
 
 
 class TestImperativeLoss:
