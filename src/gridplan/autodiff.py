@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on dense float64 numpy arrays.
 
 Exactly the operations a gradient crosses, nothing more: conv2d, relu,
-maxpool2, upsample2, concat_channels, sigmoid, scale, crop2d and reshape in
-the instance encoder; add, scale and inner in the losses; and selection_sum,
+maxpool2, upsample2, concat_channels, sigmoid, scale and to_map in the
+instance encoder; add, scale and inner in the losses; and selection_sum,
 the one fused op through which the search enters the graph. It turns the
 tape of a heap search, one entry per push with its birth and death step,
 into the sum of its one-hot selections; its backward sums each entry's
@@ -17,8 +17,10 @@ until the graph is freed. maxpool2 and upsample2 work on the four strided
 quadrants a[:, i::2, j::2] of each 2x2 block, so they cost whole-array
 passes and no index gathers: pooling keeps the first quadrant that holds
 the maximum and routes the gradient back to it, and the upsampling's
-backward sums a block as (g00 + g01) + (g10 + g11). A tensor's first
-gradient is written in one pass as g + 0.0, later ones are added in place.
+backward sums a block as (g00 + g01) + (g10 + g11). to_map copies the
+encoder's coarse output up by s in one step, and its backward halves the
+gradient log2(s) times with that block sum. A tensor's first gradient is
+written in one pass as g + 0.0, later ones are added in place.
 
 Checkpoint I/O lives here too: a binary format with header ``iatensor v1``
 followed by (name, rank, shape, float64 payload) records. Round trips are
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -38,23 +41,27 @@ from .errors import CorruptCheckpointError, OddDimensionError, ShapeMismatchErro
 
 CHECKPOINT_MAGIC = b"iatensor v1\n"
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # whether ops record graph nodes; per thread, each starts on
+
+
+_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (forward-only inference)."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in this thread inside the block (inference)."""
+    saved = _mode.enabled
+    _mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _mode.enabled = saved
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _mode.enabled
 
 
 class Tensor:
@@ -123,7 +130,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(data, parents, backward) -> Tensor:
-    tracked = _grad_enabled and any(p.requires_grad for p in parents)
+    tracked = _mode.enabled and any(p.requires_grad for p in parents)
     if not tracked:
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
@@ -289,24 +296,54 @@ def maxpool2(a) -> Tensor:
 
 
 def upsample2(a) -> Tensor:
-    """Nearest-neighbor x2 upsampling on (C,H,W).
-
-    The backward sums each 2x2 block of g as (g00 + g01) + (g10 + g11): the
-    order in which numpy sums reshape(c, h, 2, w, 2) over its two length-2
-    axes. That sum starts from +0.0, so where it reads +0.0 a block of four
-    -0.0 reads -0.0 here; the input's first accumulation adds +0.0, so its
-    gradient holds the same bytes either way.
-    """
+    """Nearest-neighbor x2 upsampling on (C,H,W); the backward is _block_sum2."""
     a = as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeMismatchError(f"upsample2 wants (C,H,W), got {a.shape}")
     out_data = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
 
     def backward(g):
-        c, h, w = a.shape
-        blocks = g.reshape(c, h, 2, w, 2)
-        rows = blocks[..., 0] + blocks[..., 1]
-        a._accumulate(rows[:, :, 0] + rows[:, :, 1])
+        a._accumulate(_block_sum2(g))
+
+    return _record(out_data, (a,), backward)
+
+
+def _block_sum2(g: np.ndarray) -> np.ndarray:
+    """Each 2x2 block of (C,2h,2w) g summed as (g00 + g01) + (g10 + g11).
+
+    It is the order in which numpy sums reshape(c, h, 2, w, 2) over its two
+    length-2 axes. numpy's sum starts from +0.0, so where it reads +0.0 a
+    block of four -0.0 reads -0.0 here; an input's first accumulation adds
+    +0.0, so its gradient holds the same bytes either way.
+    """
+    c, h, w = g.shape
+    blocks = g.reshape(c, h // 2, 2, w // 2, 2)
+    rows = blocks[..., 0] + blocks[..., 1]
+    return rows[:, :, 0] + rows[:, :, 1]
+
+
+def to_map(a, s: int, height: int, width: int) -> Tensor:
+    """Copy each cell of (1,h,w) to an s x s block, s a power of two, and
+    keep the top-left (height,width) window.
+
+    The bytes are those of log2(s) upsample2 calls and a crop: the backward
+    zero-fills g to (1, h*s, w*s) and halves it log2(s) times by _block_sum2.
+    """
+    a = as_tensor(a)
+    if s < 1 or s & (s - 1):
+        raise ValueError(f"to_map needs a power of two, got s = {s}")
+    if a.data.ndim != 3 or a.shape[0] != 1 or height > a.shape[1] * s or width > a.shape[2] * s:
+        raise ShapeMismatchError(f"cannot cut {height}x{width} from {a.shape} copied by {s}")
+    _, h, w = a.shape
+    # columns on the coarse rows first, so the large copy repeats whole rows
+    out_data = np.repeat(np.repeat(a.data[0], s, axis=1)[:, :width], s, axis=0)[:height]
+
+    def backward(g):
+        ga = np.zeros((1, h * s, w * s))
+        ga[0, :height, :width] = g
+        while ga.shape[1] > h:
+            ga = _block_sum2(ga)
+        a._accumulate(ga)
 
     return _record(out_data, (a,), backward)
 
@@ -329,33 +366,6 @@ def concat_channels(tensors) -> Tensor:
             off += c
 
     return _record(out_data, tuple(tensors), backward)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return _record(out_data, (a,), backward)
-
-
-def crop2d(a, height: int, width: int) -> Tensor:
-    """Keep the top-left height x width window of (C,H,W)."""
-    a = as_tensor(a)
-    if a.data.ndim != 3:
-        raise ShapeMismatchError(f"crop2d wants (C,H,W), got {a.shape}")
-    if height > a.shape[1] or width > a.shape[2]:
-        raise ShapeMismatchError(f"cannot crop {a.shape} to {height}x{width}")
-    out_data = a.data[:, :height, :width]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, :height, :width] = g
-        a._accumulate(ga)
-
-    return _record(out_data.copy(), (a,), backward)
 
 
 def selection_sum(bias, selected, cells, scores, birth, death, tau: float) -> Tensor:

@@ -138,15 +138,13 @@ def bias_source(spec: str):
                      " expected zero | wastar:W | model:CKPT | model=CKPT")
 
 
-def make_method(spec: str, bias_offset: float = 0.0) -> Method:
+def make_method(spec: str) -> Method:
     """Parse a method spec into a Method named by the spec.
 
     Grammar: astar | dijkstra | jps | wastar:W | dastar[:SOURCE], where
     SOURCE is a bias_source spec and defaults to zero. run(instance) returns
     the planner's own result, looking the planner up at call time; optimal
-    tells whether its paths are optimal. bias_offset adds a constant to the
-    selection bias of dastar variants (selection is invariant to it;
-    exposed for exactly that check).
+    tells whether its paths are optimal.
     """
     if spec == "astar":
         run, optimal = (lambda inst: astar(inst)), True
@@ -159,12 +157,7 @@ def make_method(spec: str, bias_offset: float = 0.0) -> Method:
         run, optimal = (lambda inst: astar(inst, weight=weight)), weight == 1.0
     elif spec == "dastar" or spec.startswith("dastar:"):
         field, optimal = bias_source(spec.partition(":")[2] or "zero")
-
-        def run(inst: PlanInstance):
-            bias = field(inst)
-            if bias_offset:
-                bias = (np.zeros(inst.grid.shape) if bias is None else bias) + bias_offset
-            return search(inst, bias=bias)
+        run = lambda inst: search(inst, bias=field(inst))
     else:
         raise ValueError(f"unknown method {spec!r}")
     return Method(spec, run, optimal=optimal,

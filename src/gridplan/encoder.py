@@ -12,8 +12,9 @@ factor s is the largest power of two with min(H, W) // s >= COARSE_SIDE:
 input straight from the PlanInstance, in four channels: the obstacle mask
 and the octile distance to the goal divided by H + W, both zero-padded to a
 multiple of s * 2^depth and block-meaned by s, and the start and the goal,
-each 1.0 in the coarse cell (r // s, c // s) that holds it. The output is
-upsampled back by nearest neighbour and cropped to the map. So the forward
+each 1.0 in the coarse cell (r // s, c // s) that holds it. The output
+reaches the map in one graph op, autodiff.to_map: each coarse cell is
+copied to an s x s block and the map's window is kept. So the forward
 costs about the same on every map of 64 cells a side or more, and maps
 under 64 run at full resolution, s = 1.
 
@@ -163,7 +164,7 @@ def pool_factor(height: int, width: int) -> int:
     return s
 
 
-def _coarse_input(instance: PlanInstance, unit: int) -> np.ndarray:
+def _coarse_input(instance: PlanInstance, s: int, unit: int) -> np.ndarray:
     """(4, rows, cols) network input: obstacles, start, goal, goal distance.
 
     The obstacle and goal-distance planes are zero-padded to a multiple of
@@ -171,7 +172,6 @@ def _coarse_input(instance: PlanInstance, unit: int) -> np.ndarray:
     length-1 axes is exact. Start and goal are 1.0 at (r // s, c // s).
     """
     height, width = instance.grid.shape
-    s = pool_factor(height, width)
     rows = -(-height // (s * unit)) * unit
     cols = -(-width // (s * unit)) * unit
     fine = np.zeros((2, rows * s, cols * s))
@@ -188,8 +188,8 @@ def _forward(model: EncoderModel, instance: PlanInstance) -> Tensor:
     """Encoder graph on an instance.
 
     The input carries no gradient, so it is built in numpy and enters the
-    graph as one constant Tensor. The upsampling, crop and reshape of the
-    output stay graph ops because the gradient crosses them.
+    graph as one constant Tensor. The output leaves the coarse grid through
+    to_map, a graph op because the gradient crosses it.
     """
     arch = model.arch
     p = model.params
@@ -199,7 +199,8 @@ def _forward(model: EncoderModel, instance: PlanInstance) -> Tensor:
         raise DimensionUnderflowError(
             f"map {height}x{width} smaller than the receptive contract {unit}x{unit}"
         )
-    x = Tensor(_coarse_input(instance, unit))
+    s = pool_factor(height, width)
+    x = Tensor(_coarse_input(instance, s, unit))
 
     skips = []
     for level in range(arch.depth):
@@ -212,13 +213,7 @@ def _forward(model: EncoderModel, instance: PlanInstance) -> Tensor:
         x = ad.relu(ad.conv2d(x, p[f"dec{level}.w"], bias=p[f"dec{level}.b"]))
     x = ad.conv2d(x, p["head.w"], bias=p["head.b"])
     x = ad.scale(ad.sigmoid(x), arch.out_scale)
-    s = pool_factor(height, width)
-    while s > 1:
-        x = ad.upsample2(x)
-        s //= 2
-    if x.shape[1:] != (height, width):
-        x = ad.crop2d(x, height, width)
-    return ad.reshape(x, (height, width))
+    return ad.to_map(x, s, height, width)
 
 
 def save_model(model: EncoderModel, path) -> None:

@@ -109,18 +109,14 @@ def case_concat(rng):
     check_gradients(lambda x, y: probe(ad.concat_channels([x, y])), [a, b])
 
 
-def case_reshape(rng):
+def case_to_map(rng):
     probe = _Probe(rng)
-    a = rng.normal(size=(3, 4))
-    check_gradients(lambda x: probe(ad.reshape(x, (2, 6))), [a])
-
-
-def case_crop2d(rng):
-    probe = _Probe(rng)
-    a = rng.normal(size=(2, int(rng.integers(2, 7)), int(rng.integers(2, 7))))
-    ch = int(rng.integers(1, a.shape[1] + 1))
-    cw = int(rng.integers(1, a.shape[2] + 1))
-    check_gradients(lambda x: probe(ad.crop2d(x, ch, cw)), [a])
+    s = int(rng.choice([1, 2, 4]))
+    h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    height = int(rng.integers(1, h * s + 1))
+    width = int(rng.integers(1, w * s + 1))
+    a = rng.normal(size=(1, h, w))
+    check_gradients(lambda x: probe(ad.to_map(x, s, height, width)), [a])
 
 
 def case_encoder_probe(rng):
@@ -128,7 +124,7 @@ def case_encoder_probe(rng):
 
     One draw at full resolution (sides under 14), and one at depth 1 on a
     map of 128 to 143 cells a side, where the pool factor is 4: the check
-    then crosses the block-reduced input, two chained upsample2 and the crop.
+    then crosses the block-reduced input and to_map's copy by 4 and cut.
     """
     depth = int(rng.integers(1, 3))
     _encoder_probe(rng, depth, 2 ** depth, 14)
@@ -223,8 +219,7 @@ OP_CASES = {
     "maxpool2": case_maxpool2,
     "upsample2": case_upsample2,
     "concat_channels": case_concat,
-    "reshape": case_reshape,
-    "crop2d": case_crop2d,
+    "to_map": case_to_map,
     "selection_sum": case_selection_sum,
     "encoder_probe": case_encoder_probe,
 }

@@ -348,9 +348,10 @@ def forced_dirs_reference(occupancy: np.ndarray, r: int, c: int, dr: int, dc: in
             if blocked(r + wr, c + wc) and not blocked(r + turn[0], c + turn[1])]
 
 
-# The encoder's pooling, upsampling and first gradient accumulation as they
-# were written before they became strided-view and one-pass forms, kept as
-# references: the package's versions must match them byte for byte.
+# The encoder's pooling, upsampling, output chain and first gradient
+# accumulation as they were written before they became strided-view,
+# one-step and one-pass forms, kept as references: the package's versions
+# must match them byte for byte.
 
 
 def reference_maxpool2(a):
@@ -393,6 +394,53 @@ def reference_upsample2(a):
         a._accumulate(g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
 
     return _record(out_data, (a,), backward)
+
+
+def reference_reshape(a, shape):
+    from gridplan.autodiff import _record, as_tensor
+
+    a = as_tensor(a)
+    out_data = a.data.reshape(shape)
+
+    def backward(g):
+        a._accumulate(g.reshape(a.shape))
+
+    return _record(out_data, (a,), backward)
+
+
+def reference_crop2d(a, height: int, width: int):
+    """Keep the top-left height x width window of (C,H,W)."""
+    from gridplan.autodiff import _record, as_tensor
+    from gridplan.errors import ShapeMismatchError
+
+    a = as_tensor(a)
+    if a.data.ndim != 3:
+        raise ShapeMismatchError(f"crop2d wants (C,H,W), got {a.shape}")
+    if height > a.shape[1] or width > a.shape[2]:
+        raise ShapeMismatchError(f"cannot crop {a.shape} to {height}x{width}")
+    out_data = a.data[:, :height, :width]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[:, :height, :width] = g
+        a._accumulate(ga)
+
+    return _record(out_data.copy(), (a,), backward)
+
+
+def reference_to_map(x, s, height, width):
+    """The encoder's output chain as it was before autodiff.to_map: log2(s)
+    upsample2 calls, a crop when the window is cut, and a reshape.
+
+    The upsampling is reference_upsample2, whose backward is numpy's own
+    block sum, so this chain shares no code with to_map.
+    """
+    while s > 1:
+        x = reference_upsample2(x)
+        s //= 2
+    if x.shape[1:] != (height, width):
+        x = reference_crop2d(x, height, width)
+    return reference_reshape(x, (height, width))
 
 
 def reference_accumulate(self, g):

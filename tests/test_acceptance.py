@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from gridplan.bench import (
+    Method,
     TrialPlan,
+    bias_source,
     deterministic_fingerprint,
     exp_metric,
     make_method,
@@ -226,11 +228,13 @@ def test_criterion_10_constant_bias_shift_changes_nothing(tmp_path, tiny_train_a
     _, outputs = tiny_train_artifacts
     ckpt = outputs[0][0]
     plan = TrialPlan(kinds=("random-blocks",), sizes=(16,), trials=3, seed=13)
+    field, _ = bias_source(f"model={ckpt}")
     prints = {}
     for c in (0.0, 0.1, 1.0, 10.0):
         out = tmp_path / f"shift-{c}"
-        methods = [make_method("astar"),
-                   make_method(f"dastar:model={ckpt}", bias_offset=c)]
+        shifted = Method(f"dastar:model={ckpt}",
+                         lambda inst, c=c: search(inst, bias=field(inst) + c), optimal=False)
+        methods = [make_method("astar"), shifted]
         run_benchmark(plan, methods, out)
         prints[c] = deterministic_fingerprint(out)
     ok = all(prints[c] == prints[0.0] for c in (0.1, 1.0, 10.0))

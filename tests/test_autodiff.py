@@ -1,5 +1,7 @@
 import inspect
+import re
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -21,6 +23,7 @@ from .helpers import (
     conv2d_oracle,
     reference_accumulate,
     reference_maxpool2,
+    reference_to_map,
     reference_upsample2,
     relative_error,
     same_bytes,
@@ -149,6 +152,23 @@ class TestResample:
         out = ad.upsample2(x)
         assert np.array_equal(out.data, [[[1, 1, 2, 2], [1, 1, 2, 2]]])
 
+    def test_to_map_values(self):
+        x = ad.Tensor(np.array([[[1.0, 2.0]]]))
+        assert np.array_equal(ad.to_map(x, 2, 2, 3).data, [[1, 1, 2], [1, 1, 2]])
+        assert np.array_equal(ad.to_map(x, 1, 1, 2).data, [[1, 2]])
+
+    def test_to_map_rejects_bad_arguments(self):
+        x = ad.Tensor(np.zeros((1, 2, 3)))
+        with pytest.raises(ShapeMismatchError):
+            ad.to_map(ad.Tensor(np.zeros((2, 2, 3))), 2, 4, 6)
+        with pytest.raises(ShapeMismatchError):
+            ad.to_map(x, 2, 5, 6)
+        with pytest.raises(ShapeMismatchError):
+            ad.to_map(x, 2, 4, 7)
+        for s in (0, 3, 6):
+            with pytest.raises(ValueError):
+                ad.to_map(x, s, 2, 3)
+
 
 class Handed(ad.Tensor):
     """A leaf that keeps the array an op's backward hands it, as handed."""
@@ -241,6 +261,43 @@ class TestResampleBits:
         self.compare(ad.upsample2, reference_upsample2, x, g, zero_sign_of_handed=False)
 
 
+class TestToMapBits:
+    """to_map against the chain it replaced, upsample2 log2(s) times, a crop
+    and a reshape (reference_to_map), byte for byte: the forward, and the
+    input's gradient after a full backward and after to_map's own backward
+    is handed an upstream gradient with -0.0 in it."""
+
+    WINDOWS = ("uncut", "rows cut", "cols cut", "both cut")
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("s", [1, 2, 4, 8])
+    def test_matches_reference_chain(self, s, window):
+        rng = np.random.default_rng(10 * s + self.WINDOWS.index(window))
+        h, w = 3, 5
+        height, width = h * s, w * s
+        if window in ("rows cut", "both cut"):
+            height = int(rng.integers(1, h * s))
+        if window in ("cols cut", "both cut"):
+            width = int(rng.integers(1, w * s))
+        x = signed_zeros(rng, rng.integers(-2, 3, size=(1, h, w)).astype(float))
+        # magnitudes over 16 decades, so the order of the block sums shows
+        g = rng.normal(size=(height, width)) * 10.0 ** rng.integers(-8, 8, size=(height, width))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        g[:s, :s] = -0.0  # one whole block of -0.0
+        outs = []
+        for fn in (ad.to_map, reference_to_map):
+            leaf = ad.Tensor(x, requires_grad=True)
+            y = fn(leaf, s, height, width)
+            y.backward(g)
+            outs.append([y.data, leaf.grad])
+        handed = ad.Tensor(x, requires_grad=True)
+        ad.to_map(handed, s, height, width)._backward(g)
+        outs[0].append(handed.grad)
+        assert same_bytes(outs[0][0], outs[1][0]), "forward"
+        assert same_bytes(outs[0][1], outs[1][1]), "gradient after backward"
+        assert same_bytes(outs[0][2], outs[1][1]), "gradient from to_map's backward"
+
+
 class TestSelectionSum:
     # Two steps on a 2x3 grid: cell 0 alone, then cell 4 out of {1, 3, 4}.
     TAPE = dict(selected=[0, 4], cells=[0, 1, 3, 4], scores=[0.0, 2.0, 1.5, 1.0],
@@ -305,6 +362,36 @@ class TestGraphMechanics:
         assert not y.requires_grad
         assert y._parents == ()
 
+    def test_no_grad_blocks_overlapping_in_two_threads(self):
+        # A enters, B enters, A exits, B exits. With one flag for the whole
+        # process, B would restore the False it found on entry.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        waited, after = [], {}
+
+        def thread_a():
+            with ad.no_grad():
+                a_in.set()
+                waited.append(b_in.wait(10))
+            after["a"] = ad.grad_enabled()
+            a_out.set()
+
+        def thread_b():
+            waited.append(a_in.wait(10))
+            with ad.no_grad():
+                b_in.set()
+                waited.append(a_out.wait(10))
+            after["b"] = ad.grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert waited == [True] * 3
+        assert after == {"a": True, "b": True}
+        assert ad.grad_enabled()
+
     def test_deep_chain_backward(self):
         # Far deeper than the interpreter recursion limit.
         x = ad.Tensor(np.array(1.0), requires_grad=True)
@@ -358,12 +445,12 @@ class TestGradientOwnership:
         assert np.array_equal(a.grad, seed) and np.array_equal(b.grad, seed)
         assert_owned([a.grad, b.grad, y.grad], seed)
 
-    def test_reshape_input_owns_its_gradient(self):
-        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-        y = ad.reshape(a, (3, 2))
-        seed = -np.arange(6.0).reshape(3, 2)
+    def test_to_map_input_owns_its_gradient(self):
+        a = ad.Tensor(np.ones((1, 2, 3)), requires_grad=True)
+        y = ad.to_map(a, 1, 2, 3)
+        seed = -np.arange(6.0).reshape(2, 3)
         y.backward(seed)
-        assert np.array_equal(a.grad, seed.reshape(2, 3))
+        assert np.array_equal(a.grad, seed.reshape(1, 2, 3))
         assert_owned([a.grad, y.grad], seed)
 
     def test_concat_slices_own_their_gradients(self):
@@ -376,12 +463,13 @@ class TestGradientOwnership:
         assert_owned([p.grad for p in parts] + [y.grad], seed)
 
     def test_seed_untouched_and_second_backward_adds(self):
-        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        seed = np.array([[1.0, -2.0], [-0.0, 4.0]])
+        x = ad.Tensor(np.ones((1, 2, 2)), requires_grad=True)
+        seed = np.array([[[1.0, -2.0], [-0.0, 4.0]]])
         kept = seed.copy()
-        ad.reshape(x, (4,)).backward(seed.reshape(4))
+        # concat_channels hands its one input a view of the output's gradient
+        ad.concat_channels([x]).backward(seed)
         first = x.grad
-        ad.reshape(x, (4,)).backward(seed.reshape(4))
+        ad.concat_channels([x]).backward(seed)
         assert same_bytes(seed, kept)
         assert x.grad is first  # the second accumulation adds in place
         assert np.array_equal(x.grad, 2 * kept)
@@ -428,6 +516,8 @@ class TestFiniteDifferences:
                if f.__module__ == ad.__name__ and "_record" in f.__code__.co_names]
         source = inspect.getsource(fd_cases)
         assert ops and [op for op in ops if f"ad.{op}(" not in source] == []
+        # the module docstring lists the ops, so the list cannot drift
+        assert [op for op in ops if not re.search(rf"\b{op}\b", ad.__doc__)] == []
 
 
 class TestCheckpointIO:

@@ -16,6 +16,7 @@ from gridplan.bench import (DEFAULT_SIZES, MAP_KINDS, Method,
                             exp_metric, load_plan, make_method, parse_plan,
                             plan_trials, rt_metric, run_benchmark)
 from gridplan.classical import astar, octile_matrix, weighted_bias
+from gridplan.diffsearch import search
 from gridplan.encoder import Arch, init_model, predict_bias, save_model
 from gridplan.errors import UnreachableGoalError, ZeroReferenceError
 from gridplan.grid import PlanInstance, load_map, save_map
@@ -213,7 +214,9 @@ class TestMakeMethod:
         ckpt = tmp_path / "m.ckpt"
         save_model(init_model(Arch(depth=2, base=4), seed=8), ckpt)
         base = make_method(f"dastar:model={ckpt}")
-        shifted = make_method(f"dastar:model={ckpt}", bias_offset=10.0)
+        field, _ = bias_source(f"model={ckpt}")
+        shifted = Method(base.name, lambda inst: search(inst, bias=field(inst) + 10.0),
+                         optimal=False)
         for inst in make_instances(3, size=16, seed=42):
             a, b = base.run(inst), shifted.run(inst)
             assert (a.expansion_order, a.path, a.cost) == \

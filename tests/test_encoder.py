@@ -24,6 +24,7 @@ from .helpers import (
     reference_accumulate,
     reference_coarse_input,
     reference_maxpool2,
+    reference_to_map,
     reference_upsample2,
     same_bytes,
 )
@@ -221,7 +222,8 @@ class TestReferenceOps:
     @pytest.mark.parametrize("size", [32, 64])
     def test_bias_and_gradients_match_reference_ops(self, size, monkeypatch):
         """predict_bias and every parameter gradient, byte for byte, with the
-        reference maxpool2, upsample2 and zero-fill accumulation swapped in."""
+        reference maxpool2, upsample2, output chain and zero-fill
+        accumulation swapped in."""
         model = init_model(Arch(), seed=4)
         rng = np.random.default_rng(size)
         head = model.params["head.w"]
@@ -239,6 +241,7 @@ class TestReferenceOps:
         new = run()
         monkeypatch.setattr(ad, "maxpool2", reference_maxpool2)
         monkeypatch.setattr(ad, "upsample2", reference_upsample2)
+        monkeypatch.setattr(ad, "to_map", reference_to_map)
         monkeypatch.setattr(ad.Tensor, "_accumulate", reference_accumulate)
         ref = run()
         assert len(new) == len(ref) == 1 + len(model.params)
@@ -258,7 +261,8 @@ class TestInstanceTensor:
                 for seed in range(4):
                     grid = generate_map(kind, w, h, density=0.25, seed=seed)
                     inst = sample_instance(grid, seed=seed + 100)
-                    assert same_bytes(encoder._coarse_input(inst, unit),
+                    s = encoder.pool_factor(h, w)
+                    assert same_bytes(encoder._coarse_input(inst, s, unit),
                                       reference_coarse_input(inst, unit)), (kind, h, w, seed)
 
     def test_predict_bias_shape(self):
