@@ -8,14 +8,16 @@ consistent under this model.
 A* keeps its per-node score as (g + h) + bias with h read from a precomputed
 heuristic matrix and bias = (weight - 1) * h, and breaks score ties by
 (score, h, row-major index). The one best-first engine, _biased_search, also
-runs the differentiable search. Given a SelectionTape, it records events,
-not open sets: each push appends its padded cell and its score, and each
-expansion appends one mark, the number of pushes so far. An open entry's
-score is fixed from its push until a later push of its cell supersedes it
-or its cell is selected, so at the goal numpy derives from those lists each
-entry's flat cell, birth step and death step, which is all the selection
-backward needs. The tape then costs O(pushes + expansions), not the sum of
-the open-set sizes over all expansions. Without a tape that work is skipped.
+runs the differentiable search. The engine knows of a tape only through
+its push function: given a SelectionTape, it pushes through the tape's
+recorder, which records events, not open sets. Each push appends its padded
+cell, its score and its birth, the number of expansions so far. An open
+entry's score is fixed from its push until a later push of its cell
+supersedes it or its cell is selected, so at the goal numpy derives from
+those lists each entry's flat cell and death step, which with the births is
+all the selection backward needs. The tape then costs O(pushes), not the
+sum of the open-set sizes over all expansions. Without a tape the engine
+pushes with heapq.heappush and records nothing.
 
 The planners search in padded-index space. The map sits inside a one-cell
 obstacle ring, and cell (r, c) has index p = (r + 1) * (W + 2) + c + 1 of
@@ -181,12 +183,6 @@ def _scatter(order: list[int], shape: tuple[int, int]) -> np.ndarray:
     return table.reshape(height + 2, width + 2)[1:-1, 1:-1].copy()
 
 
-def _crop(table: bytearray, shape: tuple[int, int]) -> np.ndarray:
-    """The map's cells of a padded per-index table, as a uint8 view."""
-    height, width = shape
-    return np.frombuffer(table, dtype=np.uint8).reshape(height + 2, width + 2)[1:-1, 1:-1]
-
-
 def _result(path: list[int], order: list[int], closed: np.ndarray, cost: float,
             jump_pops: int | None = None) -> SearchResult:
     """The SearchResult of a padded path, visit order and closed matrix."""
@@ -231,17 +227,18 @@ def dijkstra(instance: PlanInstance) -> SearchResult:
 
 
 class SelectionTape:
-    """The push and expansion events of one search, and the entries they imply.
+    """The push events of one search, and the entries they imply.
 
-    While the engine searches, each push appends its padded index to pushed
-    and its score (g + h) + bias to pushed_scores, and each expansion
-    appends to marks the number of pushes made before it. Each push opens
-    one entry. At the goal, finish derives, over steps t < T:
+    The engine pushes through recorder(order), which appends each pushed
+    entry's padded index to pushed, its score (g + h) + bias to
+    pushed_scores, and its birth, the step at which it is first open, to
+    births: len(order) at the push. Each push opens one entry. At the goal,
+    finish derives, over steps t < T:
     - expanded[t], the unpadded flat index r * W + c selected at step t;
     - per entry, its flat cell (entry_cells), its score (entry_scores), its
-      birth, the first step at which it is open, and its death, the first
-      step at which it is not: the birth of the next push of its cell, the
-      step after its cell is selected, or T.
+      birth, and its death, the first step at which it is not open: the
+      birth of the next push of its cell, the step after its cell is
+      selected, or T.
     The cells open at step t, the selected one included, are those of the
     entries with birth <= t < death.
     """
@@ -249,18 +246,29 @@ class SelectionTape:
     def __init__(self):
         self.pushed: list[int] = []
         self.pushed_scores: list[float] = []
-        self.marks: list[int] = []
+        self.births: list[int] = []
+
+    def recorder(self, order: list[int]):
+        """heapq.heappush for (score, h, p) entries that also records each push."""
+        push = heapq.heappush
+        cell, score, birth = self.pushed.append, self.pushed_scores.append, self.births.append
+
+        def record(heap, entry):
+            push(heap, entry)
+            cell(entry[2])
+            score(entry[0])
+            birth(len(order))
+        return record
 
     def finish(self, order: list[int], shape: tuple[int, int]) -> None:
-        """Derive the entries' cells, births and deaths; order is the visit order."""
+        """Derive the entries' cells and deaths; order is the visit order."""
         height, width = shape
         rows, cols = _rows_cols(self.pushed, width)
         cells = rows * width + cols
         rows, cols = _rows_cols(order, width)
         self.expanded = rows * width + cols
         steps = len(order)
-        birth = np.searchsorted(np.array(self.marks, dtype=np.intp), np.arange(cells.size),
-                                "right")
+        birth = np.array(self.births, dtype=np.intp)
         after_selection = np.full(height * width, steps)
         after_selection[self.expanded] = np.arange(1, steps + 1)
         death = after_selection[cells]
@@ -289,7 +297,7 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     first; under the 3-tuples the two tie as equal entries, and either
     gives the same g[p]. Every later pop of p finds p closed. The argument
     needs scores that compare, which is why callers reject NaN.
-    With a tape, every push and expansion is recorded on it.
+    With a tape, every push goes through tape.recorder and so is recorded.
     """
     grid = instance.grid
     pw = grid.shape[1] + 2
@@ -303,28 +311,21 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
     g[start] = 0.0
     parent = [0] * len(blocked)
     order: list[int] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush = heapq.heappush if tape is None else tape.recorder(order)
+    heappop = heapq.heappop
+    heap: list[tuple[float, float, int]] = []
     h = h_pad[start]
-    f = (0.0 + h) + bias_pad[start]
-    heap: list[tuple[float, float, int]] = [(f, h, start)]
-    recording = tape is not None
-    if recording:
-        pushed = tape.pushed
-        push_cell, push_score, mark = pushed.append, tape.pushed_scores.append, tape.marks.append
-        push_cell(start)
-        push_score(f)
+    heappush(heap, ((0.0 + h) + bias_pad[start], h, start))
 
     while heap:
         _, _, p = heappop(heap)
         if blocked[p]:
             continue
-        if recording:
-            mark(len(pushed))
         blocked[p] = 1
         order.append(p)
         g_here = g[p]
         if p == goal:
-            if recording:
+            if tape is not None:
                 tape.finish(order, grid.shape)
             return _result(_backtrack(parent, start, goal), order,
                            _scatter(order, grid.shape), g_here)
@@ -340,9 +341,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cd + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = above
         if not blocked[q] and cs < g[q]:
             g[q] = cs
@@ -350,9 +348,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cs + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = above + 1
         if not blocked[q] and cd < g[q]:
             g[q] = cd
@@ -360,9 +355,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cd + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = p - 1
         if not blocked[q] and cs < g[q]:
             g[q] = cs
@@ -370,9 +362,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cs + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = p + 1
         if not blocked[q] and cs < g[q]:
             g[q] = cs
@@ -380,9 +369,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cs + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         below = p + pw
         q = below - 1
         if not blocked[q] and cd < g[q]:
@@ -391,9 +377,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cd + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = below
         if not blocked[q] and cs < g[q]:
             g[q] = cs
@@ -401,9 +384,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cs + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
         q = below + 1
         if not blocked[q] and cd < g[q]:
             g[q] = cd
@@ -411,9 +391,6 @@ def _biased_search(instance: PlanInstance, h_mat: np.ndarray, bias: np.ndarray,
             h = h_pad[q]
             f = (cd + h) + bias_pad[q]
             heappush(heap, (f, h, q))
-            if recording:
-                push_cell(q)
-                push_score(f)
 
     raise UnreachableGoalError(
         f"goal {tuple(instance.goal)} unreachable from start {tuple(instance.start)}"
@@ -520,7 +497,7 @@ def jps(instance: PlanInstance) -> SearchResult:
         g_here = g[p]
         if p == goal:
             chain = _backtrack(parent, start, goal)
-            return _result(_interpolate(chain, pw), order, _crop(visited, grid.shape).copy(),
+            return _result(_interpolate(chain, pw), order, _scatter(order, grid.shape),
                            g_here, jump_pops=pops)
         r, c = divmod(p, pw)
         for jp in successors(p, parent.get(p)):

@@ -41,6 +41,10 @@ OCTILE_KERNEL = np.array(
 # Global gradient norm that each optimizer step's gradients are clipped to.
 GRAD_CLIP = 10.0
 
+# Adam's moment decays and denominator floor, and SGD's momentum.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SGD_MOMENTUM = 0.9
+
 # The values TrainConfig accepts for optimizer and mode; the CLI offers these.
 OPTIMIZERS = ("adam", "sgd")
 MODES = ("imperative", "supervised")
@@ -136,11 +140,9 @@ class AdamOptimizer:
     textbook formula's operation order, so each step equals it bit for bit.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -148,21 +150,21 @@ class AdamOptimizer:
 
     def step(self):
         self.t += 1
-        m_fix = 1 - self.beta1 ** self.t
-        v_fix = 1 - self.beta2 ** self.t
+        m_fix = 1 - ADAM_BETA1 ** self.t
+        v_fix = 1 - ADAM_BETA2 ** self.t
         for key, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m, v, buf = self.m[key], self.v[key], self._scratch[key]
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=buf)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=buf)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=buf)
+            v *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=buf)
             v += np.multiply(buf, g, out=buf)
             np.divide(v, v_fix, out=buf)
             np.sqrt(buf, out=buf)
-            buf += self.eps
+            buf += ADAM_EPS
             update = m / m_fix
             update *= self.lr
             update /= buf
@@ -170,10 +172,9 @@ class AdamOptimizer:
 
 
 class SgdMomentumOptimizer:
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
@@ -181,7 +182,7 @@ class SgdMomentumOptimizer:
             g = p.grad
             if g is None:
                 continue
-            self.v[key] = self.momentum * self.v[key] + g
+            self.v[key] = SGD_MOMENTUM * self.v[key] + g
             p.data -= self.lr * self.v[key]
 
 

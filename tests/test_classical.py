@@ -476,12 +476,10 @@ def assert_engine_matches_dense(inst, bias):
         assert sorted(cells) == np.flatnonzero(open_mask).tolist()
         assert (np.asarray(scores[starts[t]:starts[t + 1]]).tobytes()
                 == score.ravel()[cells].tobytes())
-    rows, cols = np.divmod(np.array(tape.pushed), width + 2)
-    pushed = ((rows - 1) * width + cols - 1).tolist()
-    bounds = [*tape.marks, len(pushed)]
     for t, ((_, before, _), (after_open, after, _)) in enumerate(
             zip(ref["steps"], ref["steps"][1:])):
-        here = pushed[bounds[t]:bounds[t + 1]]
+        # step t's pushes open their entries at step t + 1
+        here = tape.entry_cells[tape.birth == t + 1].tolist()
         assert here == sorted(set(here)), t
         r, c = divmod(selected[t], width)
         assert all(after_open.flat[q] and max(abs(q // width - r), abs(q % width - c)) == 1

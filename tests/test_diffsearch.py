@@ -231,15 +231,21 @@ class TestSoundnessUnderBias:
 
 
 class TestGradients:
-    def test_graph_and_plain_runs_match(self):
-        inst = make_instances(1, size=20, seed=101)[0]
+    @pytest.mark.parametrize("kind,size", [(kind, size) for kind in GENERATOR_KINDS
+                                           for size in (20, 64, 128)])
+    def test_graph_and_plain_runs_match(self, kind, size):
+        # The tape changes only the engine's push function, never its trace.
+        # A field in {0, 1, 2} makes many scores tie, so the (h, index)
+        # tie-break decides many selections.
+        inst = make_instances(1, size=size, seed=101, kinds=(kind,))[0]
         rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 4.0, size=inst.grid.shape)
-        plain = search(inst, bias=values)
-        leaf = Tensor(values.copy(), requires_grad=True)
-        graph = search(inst, bias=leaf)
-        assert trace(plain) == trace(graph)
-        assert np.array_equal(graph.closed.data, graph.closed_matrix.astype(float))
+        for values in (rng.uniform(0.0, 4.0, size=inst.grid.shape),
+                       rng.integers(0, 3, size=inst.grid.shape).astype(np.float64)):
+            plain = search(inst, bias=values)
+            leaf = Tensor(values.copy(), requires_grad=True)
+            graph = search(inst, bias=leaf)
+            assert trace(plain) == trace(graph)
+            assert np.array_equal(graph.closed.data, graph.closed_matrix.astype(float))
 
     def test_only_closed_carries_gradient(self):
         inst = make_instances(1, size=16, seed=111)[0]
@@ -406,6 +412,6 @@ def test_tape_holds_one_entry_per_push(monkeypatch):
     push = heapq.heappush
     monkeypatch.setattr(heapq, "heappush", lambda heap, item: (pushes.append(item), push(heap, item)))
     tape = record_tape(inst, np.random.default_rng(161).uniform(0.0, 5.0, size=(128, 128)))
-    # the start enters the heap without a push
-    assert tape.entry_cells.size == tape.entry_scores.size == len(pushes) + 1
+    # the start enters the heap through the same push as every other entry
+    assert tape.entry_cells.size == tape.entry_scores.size == len(pushes)
     assert tape.entry_cells.size < per_step_view(tape)[1][-1] / 10

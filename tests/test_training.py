@@ -211,7 +211,7 @@ class TestOptimizers:
 
     def test_sgd_momentum_accumulates(self):
         params = self._params({"w": [0.0]})
-        opt = SgdMomentumOptimizer(params, lr=0.1, momentum=0.9)
+        opt = SgdMomentumOptimizer(params, lr=0.1)
         params["w"].grad = np.array([1.0])
         opt.step()
         first = -params["w"].data.copy()
